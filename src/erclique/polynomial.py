@@ -9,6 +9,7 @@ integer vector of polynomial values.  Scalar usage is the M = 1 case.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -175,12 +176,16 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
 # weighted -> unweighted (binary expansion) over F_p
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1024)
 def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> ExpansionSpec:
     """Expansion length used by the reduction: the smallest t whose exact
     distribution is within min(gamma/N, 1/(2p)) of uniform.  The exact
     certificate replaces the analytic length bound, which is loose by enough
     to matter to the coloring fan-out; rejection failures are budgeted
-    separately and floored far below gamma/N."""
+    separately and floored far below gamma/N.
+
+    Memoised: every curve point of a prime asks for the same spec, and the
+    frozen ExpansionSpec is safe to share."""
     c_eff = min(c, 1.0 - c)
     target = min(gamma / n_edges, 1.0 / (2 * p))
     t = min_t_for_tv(p, c, target)

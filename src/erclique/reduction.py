@@ -10,11 +10,20 @@ inputs, and inclusion-exclusion over vertex-label subsets that converts
 k-partite counting into plain counting on induced subhypergraphs.  Oracle
 calls are issued in coloring batches so that desk-scale parameter grids are
 tractable; batch and single-call semantics agree.
+
+Oracle queries are answered by one of two routes, chosen by the oracle's
+counter.  The default counters (`cliques.brute_force_count` and
+`cliques.parity_count`) go through one bit-plane clique kernel for every
+(s, k): a batch of augmented rows is packed into one bit-plane per s-set
+slot, every k-set's C(k, s) planes are ANDed, and the results are summed
+(or XORed) per part subset.  Any other counter is a blackbox and receives
+one Hypergraph per query.
 """
 
 import threading
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import chain, combinations
 from math import comb, log
 
 import numpy as np
@@ -40,8 +49,10 @@ class AverageCaseOracle:
 
     Error models: "exact"; "flip" answers +1 with probability `rate`;
     "calls" answers +1 exactly on the 0-based call indices in `error_calls`.
-    Counters: any (Hypergraph, k) -> int callable; the default brute force
-    and parity counters get vectorized batch paths for graphs.
+    Counters: any (Hypergraph, k) -> int callable.  The default brute force
+    and parity counters are answered in batches by the bit-plane clique
+    kernel for every (s, k); any other counter is a blackbox that receives
+    one Hypergraph per query.
     """
 
     def __init__(self, counter=None, error: str = "exact", rate: float = 0.0,
@@ -91,10 +102,8 @@ class AverageCaseOracle:
     def count_batch_adj(self, adj: np.ndarray, k: int) -> np.ndarray:
         """Counts for a batch of graphs given as a (M, v, v) 0/1 adjacency
         tensor (s = 2 only)."""
-        if self.counter is cliques.brute_force_count:
-            ans = _count_graphs_batch(adj, k)
-        elif self.counter is cliques.parity_count:
-            ans = _count_graphs_batch(adj, k) & 1
+        if self.default_counting or self.default_parity:
+            ans = _adj_clique_counts(adj, k, parity=self.default_parity)
         else:
             ans = np.array([self.counter(_graph_from_adj(a), k) for a in adj],
                            dtype=np.int64)
@@ -110,31 +119,136 @@ def _graph_from_adj(a: np.ndarray) -> Hypergraph:
     return Hypergraph(a.shape[0], 2, list(zip(u.tolist(), v.tolist())))
 
 
-def _count_graphs_batch(adj: np.ndarray, k: int) -> np.ndarray:
-    """Vectorized k-clique counts on a (M, v, v) adjacency tensor."""
+# ---------------------------------------------------------------------------
+# the bit-plane clique kernel
+# ---------------------------------------------------------------------------
+
+# bytes of k-set bit-planes combined per kernel step (unpacked bytes when
+# counting), so the working set stays at a few MB for any table size
+_KERNEL_BUDGET = 1 << 22
+
+
+def _subsets_array(nv: int, r: int) -> np.ndarray:
+    """The r-subsets of range(nv) in lexicographic order, one per row."""
+    rows = comb(nv, r)
+    flat = np.fromiter(chain.from_iterable(combinations(range(nv), r)),
+                       dtype=np.int64, count=rows * r)
+    return flat.reshape(rows, r)
+
+
+def _colex_rank(sets: np.ndarray) -> np.ndarray:
+    """Position of each sorted row among the sets of its size in
+    colexicographic order: sum_i C(v_i, i + 1)."""
+    top = int(sets.max()) + 1 if sets.size else 0
+    rank = np.zeros(len(sets), dtype=np.int64)
+    for i in range(sets.shape[1]):
+        binom = np.array([comb(v, i + 1) for v in range(top)], dtype=np.int64)
+        rank += binom[sets[:, i]]
+    return rank
+
+
+def _position_by_colex(sets: np.ndarray) -> np.ndarray:
+    """For rows that are all the r-subsets of a range, in any order: the row
+    position of each colex rank."""
+    pos = np.empty(len(sets), dtype=np.int64)
+    pos[_colex_rank(sets)] = np.arange(len(sets))
+    return pos
+
+
+def _kset_slots(nv: int, k: int, s: int, slot_of_colex: np.ndarray):
+    """Every k-subset of range(nv), lexicographic, and for each the slots of
+    its C(k, s) s-subsets; `slot_of_colex` maps an s-set's colex rank to its
+    slot."""
+    ksets = _subsets_array(nv, k)
+    cols = [slot_of_colex[_colex_rank(ksets[:, list(pos)])]
+            for pos in combinations(range(k), s)]
+    table = (np.stack(cols, axis=1) if cols
+             else np.empty((len(ksets), 0), dtype=np.int64))
+    return ksets, table
+
+
+def _clique_planes(planes: np.ndarray, table: np.ndarray, starts: np.ndarray,
+                   m: int, parity: bool) -> np.ndarray:
+    """Per-segment clique counts (or parities) of a batch of m rows given as
+    bit-planes.
+
+    planes: (slots, ceil(m/8)) uint8, np.packbits of each slot's column, so
+    bit r of a plane is that slot in row r.  table: (K, D) slots of each
+    k-set; a k-set is a clique of row r when bit r is set in all D of its
+    planes (in every row when D = 0).  starts: segment starts into table.
+    Returns a (len(starts), m) int64 array.
+    """
+    n_sets, d = table.shape
+    nbytes = planes.shape[1]
+    if parity:
+        step = max(1, _KERNEL_BUDGET // max(1, nbytes))
+    else:  # unpacked bytes; at most 255 bits are summed per entry in uint8
+        step = max(1, min(_KERNEL_BUDGET // max(1, 8 * nbytes), 0xFF))
+    acc = np.empty((min(step, n_sets), nbytes), dtype=np.uint8)
+    tmp = np.empty_like(acc)
+    out = np.zeros((len(starts), m), dtype=np.int64)
+    ends = np.append(starts[1:], n_sets)
+    for seg, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        odd = np.zeros(nbytes, dtype=np.uint8)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            cur, scratch = acc[:b - a], tmp[:b - a]
+            # table entries are valid slots; mode="clip" spares the
+            # buffered copy that out= costs under the default mode="raise"
+            if d == 0:
+                cur.fill(0xFF)
+            else:
+                np.take(planes, table[a:b, 0], axis=0, out=cur, mode="clip")
+            for j in range(1, d):
+                np.take(planes, table[a:b, j], axis=0, out=scratch, mode="clip")
+                cur &= scratch
+            if parity:
+                odd ^= np.bitwise_xor.reduce(cur, axis=0)
+            else:
+                out[seg] += np.add.reduce(
+                    np.unpackbits(cur, axis=1, count=m), axis=0, dtype=np.uint8)
+        if parity:
+            out[seg] = np.unpackbits(odd, count=m)
+    return out
+
+
+def _bernoulli_planes(rng, c: float, rows: int, m: int) -> np.ndarray:
+    """(rows, ceil(m/8)) bit-planes of independent Ber(c) bits, for c
+    rounded down to 24 binary digits (the resolution of a float32 uniform).
+
+    Reading c's binary digits from the last 1 up to the first, OR-ing in a
+    uniform plane for a 1 and AND-ing one in for a 0 maps P[bit] = p to
+    (digit + p) / 2, which ends at P[bit] = c; c = 1/2 takes one plane."""
+    q = int(c * (1 << 24))
+    words = -(-m // 64)
+    out = np.zeros((rows, words), dtype=np.uint64)
+    full = np.iinfo(np.uint64).max
+    last_one = (q & -q).bit_length() - 1 if q else 24
+    for pos in range(last_one, 24):
+        plane = rng.integers(0, full, (rows, words), dtype=np.uint64,
+                             endpoint=True)
+        if q >> pos & 1:
+            out |= plane
+        else:
+            out &= plane
+    return out.view(np.uint8)[:, :(m + 7) // 8]
+
+
+def _pack_rows(rows: np.ndarray) -> np.ndarray:
+    """(M, S) 0/1 rows as (S, ceil(M/8)) bit-planes.  The transposed copy
+    comes first so that the planes are row-contiguous, which the kernel's
+    row gathers need to run at memory speed."""
+    return np.packbits(rows.T.copy(), axis=1)
+
+
+def _adj_clique_counts(adj: np.ndarray, k: int, parity: bool) -> np.ndarray:
+    """k-clique counts (or parities) of a (M, v, v) adjacency tensor, as a
+    kernel table over all k-sets of the v vertices in one segment."""
     m, v, _ = adj.shape
-    if k > v:
-        return np.zeros(m, dtype=np.int64)
-    if k < 2:
-        return np.full(m, comb(v, k), dtype=np.int64)
-    a = adj.astype(np.float32)
-    if k == 2:
-        return (a.sum(axis=(1, 2)) / 2).round().astype(np.int64)
-    if k == 3:
-        t = a @ a
-        return (np.einsum("mij,mij->m", t, a) / 6).round().astype(np.int64)
-    if k == 4:
-        # sum over edges (i,j) of the edge count inside the common
-        # neighborhood; every 4-clique is counted once per its 6 edges
-        total = np.zeros(m, dtype=np.float64)
-        for i in range(v):
-            for j in range(i + 1, v):
-                common = a[:, i, :] * a[:, j, :]
-                inner = np.einsum("mk,mkl,ml->m", common, a, common) / 2
-                total += adj[:, i, j] * inner
-        return (total / 6).round().astype(np.int64)
-    return np.array([cliques.brute_force_count(_graph_from_adj(g), k) for g in adj],
-                    dtype=np.int64)
+    pairs = _subsets_array(v, 2)
+    _, table = _kset_slots(v, k, 2, _position_by_colex(pairs))
+    planes = _pack_rows(adj[:, pairs[:, 0], pairs[:, 1]])
+    return _clique_planes(planes, table, np.zeros(1, dtype=np.int64), m, parity)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,207 +282,96 @@ _MAX_BATCH = 1 << 14  # rows per vectorized counting pass
 
 
 class _KPLayout:
-    """Precomputed geometry for batched pipeline evaluation of one (n, k, s)."""
+    """Precomputed geometry for batched pipeline evaluation of one (n, k, s).
+
+    Vertex (i, part j) is flat vertex j*n + i.  Every s-set of the n*k flat
+    vertices is a slot: slots 0..N-1 are the label-respecting edges in
+    EdgeIndex order, the rest are the within-part s-sets that the
+    inclusion-exclusion step samples at density c.
+    """
 
     def __init__(self, n: int, k: int, s: int):
         self.n, self.k, self.s = n, k, s
         self.index = edge_index(n, k, s)
-        self.label_rank = self.index.label_rank_array()
         self.nk = n * k
         self.subsets = _part_subsets(k)
         self.subset_vertices = {
             t: np.array([j * n + i for j in t for i in range(n)])
             for t in self.subsets}
-        if s == 2:
-            uu, vv = [], []
-            for m in range(self.index.size):
-                e = self.index.edge_at(m)
-                uu.append(e[0][1] * n + e[0][0])
-                vv.append(e[1][1] * n + e[1][0])
-            self.edge_u = np.array(uu)
-            self.edge_v = np.array(vv)
-            wu, wv = [], []
-            for j in range(k):
-                for a, b in combinations(range(n), 2):
-                    wu.append(j * n + a)
-                    wv.append(j * n + b)
-            self.within_u = np.array(wu)
-            self.within_v = np.array(wv)
-            # packed-row machinery: slot -> neighbor-mask contributions
-            # (float32 keeps the packed masks exact up to 24 vertices)
-            slot_u = np.concatenate([self.edge_u, self.within_u])
-            slot_v = np.concatenate([self.edge_v, self.within_v])
-            self.n_slots = len(slot_u)
-            s2v = np.zeros((self.n_slots, self.nk), dtype=np.float32)
-            s2v[np.arange(self.n_slots), slot_u] = 2.0 ** slot_v
-            s2v[np.arange(self.n_slots), slot_v] = 2.0 ** slot_u
-            self.slot_to_rows = s2v
-            # all vertex pairs, visited once; per-part common-neighbor
-            # popcounts are folded into per-subset triangle sums by one
-            # stacked membership matrix
-            pairs = list(combinations(range(self.nk), 2))
-            self.pair_i = np.array([a for a, _ in pairs], dtype=np.int32)
-            self.pair_j = np.array([b for _, b in pairs], dtype=np.int32)
-            self.part_masks = np.array(
-                [sum(1 << (j * n + i) for i in range(n)) for j in range(k)],
-                dtype=np.int32)
-            members = np.zeros((k * len(pairs), len(self.subsets)), dtype=np.float32)
-            for pi_, (a, b) in enumerate(pairs):
-                pa, pb = a // n, b // n
-                for si, t in enumerate(self.subsets):
-                    if pa in t and pb in t:
-                        for j in t:
-                            members[j * len(pairs) + pi_, si] = 1.0
-            self.part_members = members
-            self.n_base_pairs = len(pairs)
-            self._scratch = None
-            # vertex triples per subset, as pair-slot indices, for the
-            # bit-sliced parity path
-            slot_of_pair = {}
-            for idx_ in range(self.index.size):
-                e = self.index.edge_at(idx_)
-                u, v = e[0][1] * n + e[0][0], e[1][1] * n + e[1][0]
-                slot_of_pair[(min(u, v), max(u, v))] = idx_
-            for w_, (u, v) in enumerate(zip(self.within_u, self.within_v)):
-                slot_of_pair[(min(u, v), max(u, v))] = self.index.size + w_
-            tri_slots, seg, lens = [], [], []
-            for t in self.subsets:
-                verts = sorted(int(v_) for v_ in self.subset_vertices[t])
-                seg.append(len(tri_slots))
-                for a, b, c_ in combinations(verts, 3):
-                    tri_slots.append((slot_of_pair[(a, b)],
-                                      slot_of_pair[(a, c_)],
-                                      slot_of_pair[(b, c_)]))
-                lens.append(len(tri_slots) - seg[-1])
-            arr = np.array(tri_slots, dtype=np.int64).reshape(-1, 3)
-            self.tri_a, self.tri_b, self.tri_c = arr[:, 0], arr[:, 1], arr[:, 2]
-            self.tri_starts = np.array(seg, dtype=np.int64)
-            self.tri_lens = np.array(lens, dtype=np.int64)
-        else:
-            self.within_sets = [e for e in combinations(range(self.nk), s)
-                                if len({v // n for v in e}) < s]
+        ssets = _subsets_array(self.nk, s)
+        is_edge = np.all(np.diff(ssets // n, axis=1) > 0, axis=1)
+        label_pos = _position_by_colex(_subsets_array(k, s))
+        edges = ssets[is_edge]
+        slot = np.empty(len(ssets), dtype=np.int64)
+        slot[is_edge] = (label_pos[_colex_rank(edges // n)] * n ** s
+                         + (edges % n) @ (n ** np.arange(s - 1, -1, -1)))
+        self.n_within = len(ssets) - len(edges)
+        slot[~is_edge] = self.index.size + np.arange(self.n_within)
+        self.slot_sets = np.empty_like(ssets)  # flat vertices of each slot
+        self.slot_sets[slot] = ssets
 
-    def scratch(self, m: int) -> dict:
-        """Reusable working buffers for the packed counting pass, sliced to
-        the current batch size (allocation dominates otherwise)."""
-        if self._scratch is None or self._scratch["slots"].shape[0] < m:
-            cap = max(m, _MAX_BATCH)
-            p = self.n_base_pairs
-            self._scratch = {
-                "slots": np.empty((cap, self.n_slots), dtype=np.float32),
-                "rows_f": np.empty((cap, self.nk), dtype=np.float32),
-                "rows_i": np.empty((cap, self.nk), dtype=np.int32),
-                "ri": np.empty((cap, p), dtype=np.int32),
-                "rj": np.empty((cap, p), dtype=np.int32),
-                "sh": np.empty((cap, p), dtype=np.int32),
-                "pc": np.empty((cap, p), dtype=np.uint8),
-                "stacked": np.empty((cap, self.k * p), dtype=np.float32),
-                "sums": np.empty((cap, len(self.subsets)), dtype=np.float32),
-            }
-        return {key: buf[:m] for key, buf in self._scratch.items()}
+    @cached_property
+    def kernel(self):
+        """(table, starts, members) for the bit-plane kernel.  The table has
+        every k-set of the flat vertices once, as its C(k, s) slots, grouped
+        into one segment per set of parts the k-set touches.  members[i, g]
+        is 1 when segment g's part set lies inside part subset i, so a
+        subset's count is the sum of its members' segment counts."""
+        ksets, table = _kset_slots(self.nk, self.k, self.s,
+                                   _position_by_colex(self.slot_sets))
+        touched = np.bitwise_or.reduce(1 << (ksets // self.n), axis=1)
+        order = np.argsort(touched, kind="stable")
+        groups, starts = np.unique(touched[order], return_index=True)
+        masks = np.array([sum(1 << j for j in t) for t in self.subsets])
+        members = (groups[None, :] & ~masks[:, None]) == 0
+        return table[order], starts, members.astype(np.int64)
 
 
-def _packed_tri_counts(bits: np.ndarray, layout: _KPLayout, rng, c: float) -> dict:
-    """Triangle counts per part subset for a batch of k-partite bit rows,
-    via popcounts over packed neighbor masks (s = 2, k = 3 fast path).
+def _subset_clique_counts(bits: np.ndarray, within: np.ndarray,
+                          layout: _KPLayout, parity: bool) -> np.ndarray:
+    """k-clique counts (or parities) of every part subset's induced
+    sub-hypergraph of the augmented rows, one row per subset: (2^k - 1, M).
 
-    Appends a fresh within-part edge sample per row, exactly like the
-    adjacency-tensor path.  For every vertex pair inside a subset: if the
-    pair is an edge, the common neighbors within the subset each close a
-    triangle; the per-subset sum counts every triangle three times.
-    All scratch arrays are reused across calls.
+    bits: (M, N) label-respecting edge indicators, packed into bit-planes
+    here; within: (W, ceil(M/8)) bit-planes of the within-part s-sets.
     """
-    m = bits.shape[0]
-    npairs, k = layout.n_base_pairs, layout.k
-    ws = layout.scratch(m)
-    within = rng.random((m, len(layout.within_u)), dtype=np.float32) < c
-    np.copyto(ws["slots"][:, :bits.shape[1]], bits)
-    np.copyto(ws["slots"][:, bits.shape[1]:], within)
-    np.matmul(ws["slots"], layout.slot_to_rows, out=ws["rows_f"])
-    np.copyto(ws["rows_i"], ws["rows_f"], casting="unsafe")
-    ri, sh = ws["ri"], ws["sh"]
-    np.take(ws["rows_i"], layout.pair_i, axis=1, out=ri)
-    np.right_shift(ri, layout.pair_j, out=sh)
-    np.bitwise_and(sh, 1, out=sh)  # edge indicator per pair
-    np.take(ws["rows_i"], layout.pair_j, axis=1, out=ws["rj"])
-    np.bitwise_and(ri, ws["rj"], out=ri)  # common-neighbor mask
-    stacked, tmp, pc = ws["stacked"], ws["rj"], ws["pc"]
-    for j in range(k):
-        np.bitwise_and(ri, layout.part_masks[j], out=tmp)
-        np.bitwise_count(tmp, out=pc)
-        np.multiply(pc, sh, out=stacked[:, j * npairs:(j + 1) * npairs],
-                    casting="unsafe")
-    # exact in float32: per-subset sums stay far below 2^24
-    sums = np.matmul(stacked, layout.part_members, out=ws["sums"]).astype(np.int64)
-    return {t: sums[:, i] // 3 for i, t in enumerate(layout.subsets)}
-
-
-def _bitsliced_tri_parity(bits: np.ndarray, layout: _KPLayout, rng, c: float) -> dict:
-    """Triangle-count parities per part subset, with the batch dimension
-    packed into bytes: a triangle's presence is the AND of its three edge
-    bit-planes and the parity is an XOR over a subset's vertex triples."""
-    m = bits.shape[0]
-    within = rng.random((m, len(layout.within_u)), dtype=np.float32) < c
-    planes = np.packbits(np.concatenate([bits.T, within.T.astype(np.uint8)],
-                                        axis=0), axis=1)
-    tri = planes[layout.tri_a]
-    tri &= planes[layout.tri_b]
-    tri &= planes[layout.tri_c]
-    out = {}
-    for i, t in enumerate(layout.subsets):
-        lo, ln = layout.tri_starts[i], layout.tri_lens[i]
-        if ln == 0:
-            out[t] = np.zeros(m, dtype=np.int64)
-        else:
-            acc = np.bitwise_xor.reduce(tri[lo:lo + ln], axis=0)
-            out[t] = np.unpackbits(acc, count=m).astype(np.int64)
-    return out
+    table, starts, members = layout.kernel
+    planes = np.concatenate([_pack_rows(bits), within])
+    per_group = _clique_planes(planes, table, starts, len(bits), parity)
+    out = members @ per_group
+    return out & 1 if parity else out
 
 
 def _kp_counts_batch(bits: np.ndarray, layout: _KPLayout, oracle, c: float,
                      rng, parity: bool) -> np.ndarray:
     """Counts (or parities) of label-complete k-cliques for a batch of
-    k-partite bit rows, going through the oracle on every part subset."""
+    k-partite bit rows, going through the oracle on every part subset.
+
+    Default counters are answered by the bit-plane kernel; any other
+    counter gets one Hypergraph per (row, subset).  Each row gets its own
+    within-part sample, drawn for the whole batch at once.
+    """
     m = bits.shape[0]
     if m > _MAX_BATCH:
         return np.concatenate(
             [_kp_counts_batch(bits[lo:lo + _MAX_BATCH], layout, oracle, c, rng,
                               parity) for lo in range(0, m, _MAX_BATCH)])
-    n, k, s, nk = layout.n, layout.k, layout.s, layout.nk
-    counts = {}
-    if s == 2 and k == 3 and n >= 2 and nk <= 24 and oracle.default_parity:
-        raw = _bitsliced_tri_parity(bits, layout, rng, c)
-        for t in layout.subsets:
-            counts[t] = oracle.record_batch(raw[t])
-    elif s == 2 and k == 3 and n >= 2 and nk <= 24 and oracle.default_counting:
-        raw = _packed_tri_counts(bits, layout, rng, c)
-        for t in layout.subsets:
-            counts[t] = oracle.record_batch(raw[t])
-    elif s == 2:
-        adj = np.zeros((m, nk, nk), dtype=np.uint8)
-        adj[:, layout.edge_u, layout.edge_v] = bits
-        adj[:, layout.edge_v, layout.edge_u] = bits
-        within = (rng.random((m, len(layout.within_u))) < c).astype(np.uint8)
-        adj[:, layout.within_u, layout.within_v] = within
-        adj[:, layout.within_v, layout.within_u] = within
-        for t in layout.subsets:
-            verts = layout.subset_vertices[t]
-            sub = adj[:, verts[:, None], verts[None, :]]
-            counts[t] = oracle.count_batch_adj(sub, k)
+    within = _bernoulli_planes(rng, c, layout.n_within, m)
+    if oracle.default_counting or oracle.default_parity:
+        raw = _subset_clique_counts(bits, within, layout, oracle.default_parity)
+        counts = {t: oracle.record_batch(raw[i])
+                  for i, t in enumerate(layout.subsets)}
     else:
-        graphs = []
-        for row in bits:
-            edges = [layout.index.edge_at(i) for i in np.nonzero(row)[0]]
-            flat = [tuple(j * n + i for i, j in e) for e in edges]
-            mask = rng.random(len(layout.within_sets)) < c
-            flat.extend(e for e, keep in zip(layout.within_sets, mask) if keep)
-            graphs.append(Hypergraph(nk, s, flat))
-        for t in layout.subsets:
-            verts = layout.subset_vertices[t]
-            subs = [g.induced(verts) for g in graphs]
-            counts[t] = oracle.count_batch_graphs(subs, k)
-    result = _label_inclusion_exclusion(counts, k)
-    result = np.asarray(result, dtype=np.int64)
+        present = np.concatenate(
+            [bits.astype(bool), np.unpackbits(within, axis=1, count=m).T], axis=1)
+        graphs = [Hypergraph(layout.nk, layout.s,
+                             layout.slot_sets[np.nonzero(row)[0]].tolist())
+                  for row in present]
+        counts = {t: oracle.count_batch_graphs(
+                      [g.induced(layout.subset_vertices[t]) for g in graphs],
+                      layout.k)
+                  for t in layout.subsets}
+    result = np.asarray(_label_inclusion_exclusion(counts, layout.k), dtype=np.int64)
     return result & 1 if parity else result
 
 

@@ -92,6 +92,39 @@ def test_kp2g_parity_random():
         assert got == brute_force_count_kpartite(g) % 2
 
 
+def test_kp2g_n8_k4_no_overflow():
+    # n*k = 32 vertices: past the width of an int32 vertex mask
+    for seed in range(5):
+        g = sample_er_kpartite(8, 4, 0.5, 2, seed)
+        want = brute_force_count_kpartite(g)
+        got = kpartite_to_general_count(g, AverageCaseOracle(seed=seed), 0.5,
+                                        np.random.default_rng(seed))
+        assert got == want
+        po = AverageCaseOracle(counter=parity_count, seed=seed)
+        assert kpartite_to_general_parity(g, po, 0.5,
+                                          np.random.default_rng(seed)) == want % 2
+
+
+@pytest.mark.parametrize("n,k,s", [(3, 3, 2), (2, 4, 3)])
+def test_custom_counter_gets_a_hypergraph_per_query(n, k, s):
+    received = []
+
+    def counter(g, kk):
+        received.append(g)
+        return brute_force_count(g, kk)
+
+    for seed in range(3):
+        g = sample_er_kpartite(n, k, 0.5, s, seed)
+        custom = AverageCaseOracle(counter=counter, seed=seed)
+        default = AverageCaseOracle(seed=seed)
+        got = kpartite_to_general_count(g, custom, 0.5, np.random.default_rng(seed))
+        want = kpartite_to_general_count(g, default, 0.5, np.random.default_rng(seed))
+        assert got == want == brute_force_count_kpartite(g)
+        assert custom.calls == default.calls == 2 ** k - 1
+    assert len(received) == 3 * (2 ** k - 1)
+    assert all(isinstance(h, Hypergraph) and h.s == s for h in received)
+
+
 def test_kp2g_independent_of_within_part_sample():
     # the label-complete count never depends on the augmentation randomness
     g = sample_er_kpartite(2, 3, 0.5, 2, 99)
