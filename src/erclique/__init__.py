@@ -6,12 +6,10 @@ from .cliques import (CutoffExceeded, SparsityProfile, brute_force_count,
                       greedy_random_sampling, it_gen_cliques,
                       matrix_mult_count, parity_count, required_iterations)
 from .expansion import (ExpansionSpec, SamplerFailure, exact_distribution,
-                        required_t_mod_2, required_t_mod_p,
-                        sample_expansion_mod_2, sample_expansion_mod_p,
-                        tv_to_uniform)
+                        required_t_mod_2, required_t_mod_p, tv_to_uniform)
 from .fields import (DecodeFailure, ExtFieldCtx, PrimeFieldCtx, ResidueVector,
-                     berlekamp_welch_decode, crt_combine, ext_decompose,
-                     ext_recompose, find_normal_basis, select_primes)
+                     berlekamp_welch_decode, crt_combine, find_normal_basis,
+                     select_primes)
 from .hypergraph import (EdgeIndex, Hypergraph, KPartiteHypergraph,
                          blow_up_k_partite, common_neighbors, read_hypergraph,
                          sample_er, sample_er_kpartite, write_hypergraph)

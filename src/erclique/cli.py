@@ -215,7 +215,7 @@ def cmd_reduce(args, parity=False):
         else:
             args.flip_rate = float(args.flip_rate)
     params = reduction.ReductionParams(repetitions=args.repetitions,
-                                       gamma=args.gamma, c_const=args.c_const)
+                                       gamma=args.gamma)
     out_dir = _out_dir(args)
 
     def run(i):
@@ -391,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flip probability, or 'auto' for the tolerance bound")
         sp.add_argument("--repetitions", "-R", type=int, default=5)
         sp.add_argument("--gamma", type=float, default=0.05)
-        sp.add_argument("--c-const", type=float, default=1.0)
         sp.add_argument("--reports", action="store_true",
                         help="write one JSON report per trial")
 

@@ -138,23 +138,15 @@ def _mod_p_cutoff(p: int, delta: float, tv: float) -> int:
     return max(1, ceil(log(delta) / log(1.0 - 1.0 / p + tv)))
 
 
-def sample_expansion_mod_p(x: int, spec: ExpansionSpec, delta: float, rng=None) -> list[int]:
-    """Bits X_0..X_t with sum 2^i X_i = x (mod p), by rejection from the
-    unconditioned biased expansion.
-
-    Fails (SamplerFailure) with probability at most delta, after
-    ceil(log delta / log(1 - 1/p + TV)) rounds.
-    """
-    bits = sample_expansion_mod_p_batch(np.array([x]), spec, delta, rng)
-    return [int(b) for b in bits[0]]
-
-
 def sample_expansion_mod_p_batch(xs: np.ndarray, spec: ExpansionSpec,
                                  delta: float, rng=None) -> np.ndarray:
-    """Vectorized :func:`sample_expansion_mod_p` for a vector of residues.
+    """Bits X_0..X_t with sum 2^i X_i = x (mod p) for every residue x of
+    xs, by rejection from the unconditioned biased expansion.
 
     Returns an (len(xs), t+1) 0/1 array whose rows satisfy their congruences.
-    Raises SamplerFailure if any row exhausts the round budget.
+    Each row fails with probability at most delta, after
+    ceil(log delta / log(1 - 1/p + TV)) rounds; SamplerFailure is raised if
+    any row exhausts that budget.
     """
     rng = as_rng(rng)
     p = spec.p
@@ -184,16 +176,11 @@ def sample_expansion_mod_p_batch(xs: np.ndarray, spec: ExpansionSpec,
     return out
 
 
-def sample_expansion_mod_2(r: int, c: float, t: int, eps: float, rng=None) -> list[int]:
-    """Bits X_0..X_t whose parity equals r, with joint law within eps of the
-    product of Ber(c) bits.  Requires t >= required_t_mod_2(c, eps)."""
-    bits = sample_expansion_mod_2_batch(np.array([r]), c, t, eps, rng)
-    return [int(b) for b in bits[0]]
-
-
 def sample_expansion_mod_2_batch(rs: np.ndarray, c: float, t: int,
                                  eps: float, rng=None) -> np.ndarray:
-    """Vectorized :func:`sample_expansion_mod_2`."""
+    """Bits X_0..X_t for every parity r of rs, whose parity equals r, with
+    joint law within eps of the product of Ber(c) bits.  Requires
+    t >= required_t_mod_2(c, eps)."""
     rng = as_rng(rng)
     if t < required_t_mod_2(c, eps):
         raise ValueError(f"t={t} below required_t_mod_2={required_t_mod_2(c, eps)}")

@@ -139,6 +139,14 @@ class PrimeFieldCtx:
     def rand_vec(self, m: int, rng) -> np.ndarray:
         return rng.integers(0, self.p, size=m, dtype=np.int64)
 
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise a * b of (broadcast) arrays of field elements."""
+        return np.asarray(a, dtype=np.int64) * b % self.p
+
+    def sum_vec(self, elems) -> np.ndarray:
+        """Field sum of an array of elements along its last axis."""
+        return np.asarray(elems, dtype=np.int64).sum(axis=-1) % self.p
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers over F_p (little-endian coefficient lists)
@@ -428,11 +436,22 @@ class ExtFieldCtx:
             self._decompose_table = coords
         return self._mul_table, self._decompose_table
 
-    def mul_vec(self, scalar: int, vec: np.ndarray) -> np.ndarray:
-        """Elementwise scalar * vec over the field."""
+    def mul_vec(self, a, b) -> np.ndarray:
+        """Elementwise a * b of (broadcast) arrays of packed elements."""
         if self.order <= _MUL_TABLE_LIMIT:
-            return self._tables()[0][scalar, vec]
-        return np.array([self.mul(scalar, int(v)) for v in vec], dtype=np.int64)
+            return self._tables()[0][a, b]
+        return np.vectorize(self.mul, otypes=[np.int64])(a, b)
+
+    def sum_vec(self, elems) -> np.ndarray:
+        """Field sum of packed elements along the last axis: XOR in
+        characteristic 2, otherwise power-basis coordinates summed mod p."""
+        elems = np.asarray(elems, dtype=np.int64)
+        if self.char == 2:
+            return np.bitwise_xor.reduce(elems, axis=-1)
+        p = self.base.p
+        place = p ** np.arange(self.t, dtype=np.int64)
+        coords = elems[..., None] // place % p
+        return (coords.sum(axis=-2) % p) @ place
 
     def decompose_vec(self, vec: np.ndarray) -> np.ndarray:
         """(m, t) matrix of normal-basis coordinates of packed elements."""
@@ -491,16 +510,6 @@ def find_normal_basis(p: int, t: int) -> ExtFieldCtx:
             return ExtFieldCtx(base, t, modulus, _ext_unpack(cand, p, t), mat, inv)
     raise RuntimeError(f"no normal basis generator found in F_{p}^{t}; "
                        "this indicates an arithmetic bug")
-
-
-def ext_decompose(x: int, ctx: ExtFieldCtx) -> tuple[int, ...]:
-    """Normal-basis coordinates of x: x = sum_i coords[i] * beta^(p^i)."""
-    return ctx.decompose(x)
-
-
-def ext_recompose(coords, ctx: ExtFieldCtx) -> int:
-    """Inverse of :func:`ext_decompose`."""
-    return ctx.recompose(coords)
 
 
 # ---------------------------------------------------------------------------

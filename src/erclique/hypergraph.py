@@ -223,10 +223,6 @@ class EdgeIndex:
         idx.reverse()
         return tuple(zip(idx, parts))
 
-    def label_rank_array(self) -> np.ndarray:
-        """(N,) array: rank of the label-set of each edge index."""
-        return np.repeat(np.arange(len(self.label_sets)), self.n ** self.s)
-
 
 @lru_cache(maxsize=None)
 def edge_index(n: int, k: int, s: int) -> EdgeIndex:

@@ -1,7 +1,17 @@
 """The k-partite clique-count polynomial over N = C(k,s)*n^s edge variables,
-its random self-reduction through curve evaluations and decoding, the
-weighted-to-unweighted decomposition through random binary expansions, and
-the extension-to-base-field decomposition through a normal basis.
+its random self-reduction through curve evaluations and decoding, and the
+two decompositions that evaluate it from simpler inputs.
+
+Both decompositions are one coloring sum: write every entry as
+sum_a w_a * y_a over an alphabet of colors; because the polynomial takes
+one entry from each of its D = C(k,s) label-sets, its value is the sum
+over all colorings a of the label-sets of prod_S w_{a(S)} times its value
+on the coloring's input (`_coloring_sum`).  The binary-expansion
+decomposition (`recombine_expansions`, `weighted_to_unweighted`,
+`weighted_to_unweighted_batch`) colors by bit positions with weights
+2^b mod p (1 for p = 2); the extension-to-base decomposition
+(`ext_to_base_reduce`) colors by normal-basis coordinates with weights
+beta^(p^i).
 
 Callback contracts: `er_eval`/`base_eval` callbacks are batched; they take an
 (M, N) 0/1 (resp. base-field) matrix, one input per row, and return a length-M
@@ -100,37 +110,42 @@ def eval_clique_poly(x: WeightedKPartiteInput):
 
 
 # ---------------------------------------------------------------------------
-# colorings
+# the coloring sum
 # ---------------------------------------------------------------------------
 
-def coloring_table(n_colors: int, d: int) -> np.ndarray:
-    """All maps from the d label-sets to {0..n_colors-1}, one per row,
-    enumerated with the first label-set as the most significant digit."""
-    rows = n_colors ** d
-    cols = np.unravel_index(np.arange(rows), (n_colors,) * d)
-    return np.stack(cols, axis=1).astype(np.int64)
+def _coloring_sum(alpha: np.ndarray, weights: np.ndarray, field,
+                  index: EdgeIndex, evaluate, row_budget: int = 1 << 14) -> np.ndarray:
+    """Per point, the field sum over all colorings a of the D = C(k,s)
+    label-sets by the A colors of prod_r weights[a_r] * evaluate(row_a).
 
-
-def colored_inputs(per_edge: np.ndarray, colorings: np.ndarray,
-                   label_rank: np.ndarray) -> np.ndarray:
-    """Row a of the result selects, for every edge j, column colorings[a, r_j]
-    of per_edge, where r_j is edge j's label-set rank.
-
-    per_edge: (N, n_colors) matrix; result: (n_colorings, N).  Edges sharing
-    a label-set occupy contiguous index ranges, so the gather runs block by
-    block as whole-row copies.
+    alpha: (M, N, A) alphabet values of every edge of each of M points;
+    row_a takes, for each edge of label-set r, its value at color a_r.
+    weights: (A,) field elements.  `evaluate` maps an (rows, N) batch to
+    base-field values, reduced here mod the characteristic.  Colorings are
+    enumerated with the first label-set as the most significant digit, in
+    chunks of at most `row_budget` rows (point-major, at least one coloring
+    per point).  Returns the length-M vector of field elements.
     """
-    cc, d = colorings.shape
-    out = np.empty((cc, per_edge.shape[0]), dtype=per_edge.dtype)
-    for r in range(d):
-        idx = np.nonzero(label_rank == r)[0]
-        block = np.ascontiguousarray(per_edge[idx].T)  # (n_colors, seg)
-        taken = block[colorings[:, r]]
-        if idx.size and idx[-1] - idx[0] == idx.size - 1:
-            out[:, idx[0]:idx[-1] + 1] = taken
-        else:
-            out[:, idx] = taken
-    return out
+    m, n_edges, n_colors = alpha.shape
+    d = comb(index.k, index.s)
+    block = index.n ** index.s  # label-set r owns edges [r*block, (r+1)*block)
+    by_color = np.ascontiguousarray(alpha.transpose(0, 2, 1))  # (M, A, N)
+    n_col = n_colors ** d
+    step = max(1, row_budget // m)
+    rows = np.empty((m, min(step, n_col), n_edges), dtype=alpha.dtype)
+    parts = []
+    for lo in range(0, n_col, step):
+        digits = np.unravel_index(np.arange(lo, min(lo + step, n_col)), (n_colors,) * d)
+        cur = rows[:, :len(digits[0])]
+        w = weights[digits[0]]
+        for r, a in enumerate(digits):
+            edges = slice(r * block, (r + 1) * block)
+            cur[:, :, edges] = by_color[:, a, edges]
+            if r:
+                w = field.mul_vec(w, weights[a])
+        vals = np.asarray(evaluate(cur.reshape(-1, n_edges)), dtype=np.int64)
+        parts.append(field.sum_vec(field.mul_vec(w, vals.reshape(m, -1) % field.char)))
+    return field.sum_vec(np.stack(parts, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -158,16 +173,8 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
     points = []
     for i in range(1, m + 1):
         t = ctx.element(i)
-        if isinstance(ctx, PrimeFieldCtx):
-            g = (x.values + t * y1 + (t * t % ctx.p) * y2) % ctx.p
-        elif ctx.char == 2:
-            t2 = ctx.mul(t, t)
-            g = x.values ^ ctx.mul_vec(t, y1) ^ ctx.mul_vec(t2, y2)
-        else:
-            t2 = ctx.mul(t, t)
-            g = np.array(
-                [ctx.add(int(a), ctx.add(ctx.mul(t, int(b)), ctx.mul(t2, int(v))))
-                 for a, b, v in zip(x.values, y1, y2)], dtype=np.int64)
+        g = ctx.sum_vec(np.stack([x.values, ctx.mul_vec(t, y1),
+                                  ctx.mul_vec(ctx.mul(t, t), y2)], axis=-1))
         points.append((t, int(eval_at(WeightedKPartiteInput(index, g, ctx)))))
     return berlekamp_welch_decode(points, 2 * d, ctx)
 
@@ -192,6 +199,32 @@ def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> Exp
     return ExpansionSpec(p=p, c=c_eff, t=t, qs=(c,) * (t + 1))
 
 
+def _bit_weights(p: int, n_bits: int) -> np.ndarray:
+    """Weight of expansion bit b: 2^b mod p, or 1 for p = 2, where the
+    expansion is a plain sum of bits."""
+    if p == 2:
+        return np.ones(n_bits, dtype=np.int64)
+    return np.array([pow(2, b, p) for b in range(n_bits)], dtype=np.int64)
+
+
+def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
+                       gamma: float, rng) -> np.ndarray:
+    """(M, N, B) expansion bits of an (M, N) matrix over F_p, near-Ber(c)
+    bits whose sum (p = 2) or 2^b-weighted sum (odd p) is each entry.
+    Sampler failures propagate as SamplerFailure."""
+    p = field.p
+    m, n_edges = points.shape
+    if p == 2:
+        eps = gamma / n_edges
+        t2 = required_t_mod_2(min(c, 1.0 - c), eps)
+        bits = sample_expansion_mod_2_batch(points.ravel(), c, t2, eps, rng)
+    else:
+        spec = pipeline_expansion_spec(p, c, n_edges, gamma)
+        delta = min(gamma / (2 * n_edges), 1e-9)
+        bits = sample_expansion_mod_p_batch(points.ravel(), spec, delta, rng)
+    return bits.reshape(m, n_edges, -1)
+
+
 def recombine_expansions(per_edge_bits: np.ndarray, index: EdgeIndex,
                          field: PrimeFieldCtx, er_eval,
                          chunk: int = 1 << 14) -> int:
@@ -199,29 +232,13 @@ def recombine_expansions(per_edge_bits: np.ndarray, index: EdgeIndex,
 
     per_edge_bits: (N, B) matrix of expansion bits per edge.  Each coloring
     assigns one bit position to every label-set; its weight is
-    2^(sum of assigned positions) mod p (weight 1 for p = 2).  Colorings are
-    evaluated in chunks to bound memory; er_eval sees one (M, N) batch per
-    chunk.
+    2^(sum of assigned positions) mod p (weight 1 for p = 2).  This is the
+    coloring sum of one point; er_eval sees one (M, N) batch of at most
+    `chunk` colorings at a time.
     """
-    p = field.p
-    n_bits = per_edge_bits.shape[1]
-    d = comb(index.k, index.s)
-    rank = index.label_rank_array()
-    n_rows = n_bits ** d
-    pow2 = np.array([pow(2, e, p) for e in range(d * (n_bits - 1) + 1)],
-                    dtype=np.int64)
-    acc = 0
-    for lo in range(0, n_rows, chunk):
-        ids = np.arange(lo, min(lo + chunk, n_rows))
-        colorings = np.stack(np.unravel_index(ids, (n_bits,) * d), axis=1)
-        inputs = colored_inputs(per_edge_bits, colorings, rank)
-        vals = np.asarray(er_eval(inputs), dtype=np.int64) % p
-        if p == 2:
-            acc = (acc + int(vals.sum())) % 2
-        else:
-            weights = pow2[colorings.sum(1)]
-            acc = (acc + int((weights * vals % p).sum())) % p
-    return acc
+    bits = np.asarray(per_edge_bits)[None]
+    return int(_coloring_sum(bits, _bit_weights(field.p, bits.shape[2]), field,
+                             index, er_eval, chunk)[0])
 
 
 def weighted_to_unweighted(x: WeightedKPartiteInput, c: float, gamma: float,
@@ -240,17 +257,8 @@ def weighted_to_unweighted(x: WeightedKPartiteInput, c: float, gamma: float,
     field = x.field
     if not isinstance(field, PrimeFieldCtx):
         raise ValueError("weighted_to_unweighted runs over a prime field")
-    p = field.p
-    n_edges = x.index.size
-    delta = min(gamma / (2 * n_edges), 1e-9)
-    if p == 2:
-        c_eff = min(c, 1.0 - c)
-        t2 = required_t_mod_2(c_eff, gamma / n_edges)
-        bits = sample_expansion_mod_2_batch(x.values, c, t2, gamma / n_edges, rng)
-    else:
-        spec = pipeline_expansion_spec(p, c, n_edges, gamma)
-        bits = sample_expansion_mod_p_batch(x.values, spec, delta, rng)
-    return recombine_expansions(bits, x.index, field, er_eval)
+    bits = _sample_expansions(x.values[None], field, c, gamma, rng)
+    return recombine_expansions(bits[0], x.index, field, er_eval)
 
 
 def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
@@ -261,50 +269,16 @@ def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
 
     points: (M, N) matrix over F_p; returns the length-M vector of polynomial
     values.  Expansions for all rows are sampled at once and the coloring
-    fan-outs of all rows are evaluated in shared er_eval batches, which is
+    sums of all rows are evaluated in shared er_eval batches, which is
     what makes the parity pipeline's extension-field fan-out tractable.
     """
     rng = as_rng(rng)
-    p = field.p
-    points = np.asarray(points, dtype=np.int64) % p
-    m, n_edges = points.shape
-    if n_edges != index.size:
+    points = np.asarray(points, dtype=np.int64) % field.p
+    if points.shape[1] != index.size:
         raise ValueError("points width does not match the edge index")
-    if p == 2:
-        c_eff = min(c, 1.0 - c)
-        t2 = required_t_mod_2(c_eff, gamma / n_edges)
-        bits = sample_expansion_mod_2_batch(points.ravel(), c, t2,
-                                            gamma / n_edges, rng)
-    else:
-        spec = pipeline_expansion_spec(p, c, n_edges, gamma)
-        bits = sample_expansion_mod_p_batch(points.ravel(), spec,
-                                            min(gamma / (2 * n_edges), 1e-9), rng)
-    n_bits = bits.shape[1]
-    bits = bits.reshape(m, n_edges, n_bits)
-    d = comb(index.k, index.s)
-    rank = index.label_rank_array()
-    n_col = n_bits ** d
-    col_chunk = max(1, row_budget // m)
-    pow2 = np.array([pow(2, e, p) for e in range(d * (n_bits - 1) + 1)],
-                    dtype=np.int64)
-    acc = np.zeros(m, dtype=np.int64)
-    segments = [np.nonzero(rank == r)[0] for r in range(d)]
-    bounds = [(int(seg[0]), int(seg[-1]) + 1) for seg in segments]
-    y = np.empty((m, col_chunk, n_edges), dtype=bits.dtype)
-    for lo in range(0, n_col, col_chunk):
-        ids = np.arange(lo, min(lo + col_chunk, n_col))
-        colorings = np.stack(np.unravel_index(ids, (n_bits,) * d), axis=1)
-        yv = y[:, :len(ids)]
-        for r, (a, b) in enumerate(bounds):
-            yv[:, :, a:b] = bits[:, a:b, :][:, :, colorings[:, r]].transpose(0, 2, 1)
-        vals = np.asarray(er_eval(yv.reshape(-1, n_edges)), dtype=np.int64)
-        vals = vals.reshape(m, len(ids)) % p
-        if p == 2:
-            acc = (acc + vals.sum(axis=1)) % 2
-        else:
-            weights = pow2[colorings.sum(1)]
-            acc = (acc + (vals * weights % p).sum(axis=1)) % p
-    return acc
+    bits = _sample_expansions(points, field, c, gamma, rng)
+    return _coloring_sum(bits, _bit_weights(field.p, bits.shape[2]), field,
+                         index, er_eval, row_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -314,25 +288,14 @@ def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
 def ext_to_base_reduce(x: WeightedKPartiteInput, base_eval, ctx: ExtFieldCtx) -> int:
     """Evaluate the polynomial over F_{p^t} using a base-field callback.
 
-    Every entry is decomposed in the normal basis; for each coloring a of the
-    label-sets by {0..t-1}, the coordinate-selected base vector is evaluated
-    by the callback and weighted by prod_S beta^(p^a(S)).  Deterministic:
-    all t^D colorings are evaluated.
+    Every entry is decomposed in the normal basis; this is the coloring sum
+    with the t coordinates as colors: for each coloring a of the label-sets
+    by {0..t-1}, the coordinate-selected base vector is evaluated by the
+    callback and weighted by prod_S beta^(p^a(S)).  Deterministic: all t^D
+    colorings are evaluated.
     """
     if not isinstance(ctx, ExtFieldCtx):
         raise ValueError("ext_to_base_reduce needs an extension field context")
-    index = x.index
-    d = comb(index.k, index.s)
-    coords = ctx.decompose_vec(x.values)  # (N, t)
-    colorings = coloring_table(ctx.t, d)
-    rank = index.label_rank_array()
-    base_rows = colored_inputs(coords, colorings, rank)
-    vals = np.asarray(base_eval(base_rows), dtype=np.int64) % ctx.char
-    frob = ctx.frob_beta
-    total = ctx.zero
-    for a, v in zip(colorings, vals):
-        w = ctx.one
-        for color in a:
-            w = ctx.mul(w, frob[int(color)])
-        total = ctx.add(total, ctx.mul(w, ctx.embed_base(int(v))))
-    return total
+    coords = ctx.decompose_vec(x.values)[None]  # (1, N, t)
+    weights = np.array(ctx.frob_beta, dtype=np.int64)
+    return int(_coloring_sum(coords, weights, ctx, x.index, base_eval)[0])

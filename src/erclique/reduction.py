@@ -5,11 +5,14 @@ formulas.
 
 The pipeline evaluates the clique polynomial on a worst-case input through
 three nested reductions: random curve evaluations (decoded against oracle
-errors), binary-expansion decomposition of weighted inputs into near-ER 0/1
+errors), the coloring sum that decomposes weighted inputs into near-ER 0/1
 inputs, and inclusion-exclusion over vertex-label subsets that converts
-k-partite counting into plain counting on induced subhypergraphs.  Oracle
-calls are issued in coloring batches so that desk-scale parameter grids are
-tractable; batch and single-call semantics agree.
+k-partite counting into plain counting on induced subhypergraphs.  The
+coloring sum (see `polynomial`) colors the label-sets by binary-expansion
+bits for counting, and by normal-basis coordinates, then mod-2 expansion
+bits when c != 1/2, for parity.  Oracle calls are issued in coloring
+batches so that desk-scale parameter grids are tractable; batch and
+single-call semantics agree.
 
 Oracle queries are answered by one of two routes, chosen by the oracle's
 counter.  The default counters (`cliques.brute_force_count` and
@@ -403,13 +406,11 @@ def kpartite_to_general_parity(g: KPartiteHypergraph, oracle: AverageCaseOracle,
 
 @dataclass
 class ReductionParams:
-    """Knobs of the reduction: repetitions per prime (majority voted),
-    total failure budget for the expansion samplers, and the constant in the
-    slowdown formulas."""
+    """Knobs of the reduction: repetitions per prime (majority voted) and
+    the total failure budget for the expansion samplers."""
 
     repetitions: int = 5
     gamma: float = 0.05
-    c_const: float = 1.0
 
 
 @dataclass

@@ -3,9 +3,10 @@ pytest -s or in failure output) and pins its tolerances inline.
 
 Criterion 1 includes a hard wall-clock budget; the test enforces it by
 projecting each parameter combination's oracle-call count (a closed-form
-function of the selected primes and expansion lengths) against the measured
-call throughput, refusing to start combinations that cannot finish inside
-the budget, and failing if anything had to be skipped.
+function of the selected primes and expansion lengths) against the call
+throughput measured on the combination's own (s, k), refusing to start
+combinations that cannot finish inside the budget, and failing if anything
+had to be skipped.
 """
 
 import math
@@ -20,11 +21,13 @@ from erclique.cliques import (CutoffExceeded, brute_force_count,
 from erclique.expansion import (ExpansionSpec, closed_form_tv_unbiased,
                                 exact_distribution, required_t_mod_p,
                                 tv_to_uniform)
-from erclique.fields import berlekamp_welch_decode
+from erclique.fields import PrimeFieldCtx, berlekamp_welch_decode, select_primes
 from erclique.hypergraph import (Hypergraph, adversarial_suite, sample_er,
                                  sample_er_kpartite)
-from erclique.reduction import (AverageCaseOracle, ReductionParams,
-                                decide_via_parity, flip_rate_for_tolerance,
+from erclique.polynomial import WeightedKPartiteInput, weighted_to_unweighted
+from erclique.reduction import (AverageCaseOracle, ReductionParams, _KPLayout,
+                                _kp_counts_batch, decide_via_parity,
+                                flip_rate_for_tolerance,
                                 kpartite_to_general_count,
                                 predicted_oracle_calls, to_er_count,
                                 to_er_parity)
@@ -35,6 +38,28 @@ def report(name: str, ok: bool, detail: str = "") -> str:
     line = f"[{name}] {'PASS' if ok else 'FAIL'}" + (f" - {detail}" if detail else "")
     print(line)
     return line
+
+
+def calibration_point(s, k, n, c, params, rng):
+    """Oracle calls per second of one curve point of the cell: the expansion
+    decomposition of a random point mod the cell's first prime, each colored
+    row answered through the oracle as to_er_count answers it.  A trial
+    repeats this unit 12*C(k,s) times per prime and repetition, so it costs
+    a small fraction of a trial."""
+    p = select_primes(n, k, s)[0]
+    field = PrimeFieldCtx(p)
+    layout = _KPLayout(n, k, s)
+    oracle = AverageCaseOracle()
+    x = WeightedKPartiteInput(layout.index,
+                              field.rand_vec(layout.index.size, rng), field)
+
+    def er_eval(rows):
+        return _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c, rng,
+                                parity=False) % p
+
+    t1 = time.monotonic()
+    weighted_to_unweighted(x, c, params.gamma, er_eval, rng)
+    return oracle.calls / (time.monotonic() - t1)
 
 
 def test_ac1_end_to_end_counting():
@@ -49,31 +74,37 @@ def test_ac1_end_to_end_counting():
     grid.sort(key=lambda g: predicted_oracle_calls(g[2], g[1], g[0], g[3], params))
 
     t0 = time.monotonic()
-    calls_done = 0
+    # calls/s per (s, k): from the trials run on it, or from one calibration
+    # point until a trial has run; the (s, k) paths differ several-fold
+    speed, done = {}, {}
     mismatches, rates, skipped = [], {}, []
     for combo_id, (s, k, n, c) in enumerate(grid):
         per_trial = predicted_oracle_calls(n, k, s, c, params)
-        elapsed = time.monotonic() - t0
-        throughput = calls_done / max(elapsed, 1e-9) if calls_done else None
-        if throughput is not None:
-            projected = n_inputs * per_trial / throughput
-            if elapsed + projected > budget:
-                skipped.append((s, k, n, c, per_trial, projected))
-                continue
+        if (s, k) not in speed:
+            speed[(s, k)] = calibration_point(s, k, n, c, params,
+                                              trial_rng(1500, combo_id))
+        projected = n_inputs * per_trial / speed[(s, k)]
+        if time.monotonic() - t0 + projected > budget:
+            skipped.append((s, k, n, c, per_trial, projected))
+            continue
+        calls_secs = done.setdefault((s, k), [0, 0.0])
         successes = 0
         for i, g in enumerate(adversarial_suite(n, s, k, n_inputs,
                                                 trial_rng(1000, combo_id))):
             ref = brute_force_count(g, k)
             oracle = AverageCaseOracle(seed=i)
+            t1 = time.monotonic()
             rep = to_er_count(g, k, oracle, c, params, trial_rng(i, 0),
                               reference=ref)
-            calls_done += rep.oracle_calls
+            calls_secs[0] += rep.oracle_calls
+            calls_secs[1] += time.monotonic() - t1
             if rep.succeeded:
                 successes += 1
                 if rep.count != ref:
                     mismatches.append((s, k, n, c, i, rep.count, ref))
         rate = successes / n_inputs
         rates[(s, k, n, c)] = rate
+        speed[(s, k)] = calls_secs[0] / calls_secs[1]
 
     elapsed = time.monotonic() - t0
     agree_ok = not mismatches
@@ -88,8 +119,9 @@ def test_ac1_end_to_end_counting():
     assert complete_ok, (
         "criterion runtime bound is not attainable: the per-trial oracle-call "
         "count sum_p 12*C(k,s)*bits_p^C(k,s)*(2^k-1) is structural, and at the "
-        f"measured throughput of {calls_done / elapsed:.2e} calls/s the "
-        f"following combinations cannot finish inside {budget:.0f}s: "
+        "throughput measured per (s,k) ("
+        + ", ".join(f"{sk}: {v:.2e} calls/s" for sk, v in speed.items())
+        + f") the following combinations cannot finish inside {budget:.0f}s: "
         + "; ".join(
             f"(s={s},k={k},n={n},c={c}): {pt:.2e} calls/trial, "
             f"~{proj / 60:.0f} min for 20 trials"

@@ -7,9 +7,7 @@ import pytest
 from erclique.expansion import (ExpansionSpec, closed_form_tv_unbiased, exact_distribution,
                                 min_t_for_tv, parity_zero_probability,
                                 required_t_mod_2, required_t_mod_p,
-                                sample_expansion_mod_2,
                                 sample_expansion_mod_2_batch,
-                                sample_expansion_mod_p,
                                 sample_expansion_mod_p_batch, tv_to_uniform)
 
 
@@ -126,8 +124,8 @@ def test_mod_p_sampler_congruence():
     rng = np.random.default_rng(0)
     for x in range(3):
         for _ in range(30):
-            bits = sample_expansion_mod_p(x, spec, 1e-9, rng)
-            assert sum(b << i for i, b in enumerate(bits)) % 3 == x
+            bits = sample_expansion_mod_p_batch(np.array([x]), spec, 1e-9, rng)[0]
+            assert sum(int(b) << i for i, b in enumerate(bits)) % 3 == x
 
 
 def test_mod_p_sampler_congruence_batch():
@@ -144,7 +142,8 @@ def test_mod_p_sampler_requires_tv_margin():
     # two bits cannot cover F_13, TV precondition fails
     spec = ExpansionSpec(p=13, c=0.5, t=1)
     with pytest.raises(ValueError):
-        sample_expansion_mod_p(1, spec, 1e-3, np.random.default_rng(0))
+        sample_expansion_mod_p_batch(np.array([1]), spec, 1e-3,
+                                     np.random.default_rng(0))
 
 
 def test_mod_p_conditional_law():
@@ -195,14 +194,14 @@ def test_mod_p_uniform_composition():
 def test_mod_2_sampler():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        bits = sample_expansion_mod_2(1, 0.5, 1, 0.01, rng)
-        assert sum(bits) % 2 == 1
+        bits = sample_expansion_mod_2_batch(np.array([1]), 0.5, 1, 0.01, rng)[0]
+        assert int(bits.sum()) % 2 == 1
     rs = np.tile(np.array([0, 1]), 2000)
     t = required_t_mod_2(0.3, 0.05)
     out = sample_expansion_mod_2_batch(rs, 0.3, t, 0.05, rng)
     assert ((out.sum(axis=1) & 1) == rs).all()
     with pytest.raises(ValueError):
-        sample_expansion_mod_2(1, 0.3, 1, 0.001, rng)
+        sample_expansion_mod_2_batch(np.array([1]), 0.3, 1, 0.001, rng)
 
 
 def test_mod_2_joint_law():

@@ -3,8 +3,7 @@ import pytest
 
 from erclique.fields import (DecodeFailure, PrimeFieldCtx,
                              ResidueVector, berlekamp_welch_decode,
-                             crt_combine, ext_decompose, ext_recompose,
-                             find_normal_basis, select_primes)
+                             crt_combine, find_normal_basis, select_primes)
 
 
 def test_select_primes_examples():
@@ -80,21 +79,41 @@ def test_normal_basis_invertible_and_roundtrip(p, t):
     rng = np.random.default_rng(p * 100 + t)
     for _ in range(1000):
         x = int(rng.integers(0, ctx.order))
-        assert ext_recompose(ext_decompose(x, ctx), ctx) == x
+        assert ctx.recompose(ctx.decompose(x)) == x
+
+
+@pytest.mark.parametrize("ctx", [PrimeFieldCtx(2), PrimeFieldCtx(13),
+                                 find_normal_basis(2, 6), find_normal_basis(3, 2),
+                                 find_normal_basis(2, 10), find_normal_basis(3, 6)],
+                         ids=repr)
+def test_vector_ops_match_scalar_ops(ctx):
+    # the last two fields are above the lookup-table limit
+    rng = np.random.default_rng(ctx.order)
+    a = rng.integers(0, ctx.order, (4, 7))
+    b = rng.integers(0, ctx.order, 7)
+    assert ctx.mul_vec(a, b).tolist() == [[ctx.mul(int(x), int(y)) for x, y in zip(row, b)]
+                                          for row in a]
+    sums = []
+    for row in a:
+        acc = ctx.zero
+        for x in row:
+            acc = ctx.add(acc, int(x))
+        sums.append(acc)
+    assert ctx.sum_vec(a).tolist() == sums
 
 
 def test_decompose_semantics():
     # coordinates recombine through the Frobenius powers of beta
     ctx = find_normal_basis(3, 2)
     for x in range(ctx.order):
-        coords = ext_decompose(x, ctx)
+        coords = ctx.decompose(x)
         acc = ctx.zero
         for c, fb in zip(coords, ctx.frob_beta):
             acc = ctx.add(acc, ctx.mul(ctx.embed_base(c), fb))
         assert acc == x
-    assert ext_decompose(0, ctx) == (0, 0)
+    assert ctx.decompose(0) == (0, 0)
     beta_packed = ctx.pack(ctx.beta)
-    assert ext_decompose(beta_packed, ctx) == (1, 0)
+    assert ctx.decompose(beta_packed) == (1, 0)
 
 
 def test_ext_field_arithmetic_consistency():

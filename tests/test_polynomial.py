@@ -3,14 +3,16 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erclique.cliques import brute_force_count_kpartite
 from erclique.expansion import SamplerFailure
 from erclique.fields import PrimeFieldCtx, find_normal_basis
 from erclique.hypergraph import KPartiteHypergraph, edge_index
-from erclique.polynomial import (WeightedKPartiteInput, coloring_table,
-                                 eval_clique_poly, ext_to_base_reduce,
-                                 pipeline_expansion_spec, random_self_reduce,
+from erclique.polynomial import (WeightedKPartiteInput, eval_clique_poly,
+                                 ext_to_base_reduce, pipeline_expansion_spec,
+                                 random_self_reduce,
                                  recombine_expansions, weighted_to_unweighted,
                                  weighted_to_unweighted_batch)
 
@@ -239,14 +241,6 @@ def test_pipeline_spec_certificate():
         assert tv <= min(0.05 / 108, 1 / (2 * p))
 
 
-def test_coloring_table_order():
-    t = coloring_table(3, 2)
-    assert t.shape == (9, 2)
-    assert t[0].tolist() == [0, 0]
-    assert t[1].tolist() == [0, 1]
-    assert t[-1].tolist() == [2, 2]
-
-
 def test_ext_to_base_trivial_extension():
     # t = 1: single coloring with weight beta; dividing it out recovers the
     # base evaluation
@@ -294,6 +288,19 @@ def test_ext_to_base_f9_and_embedding():
         assert got == ctx.embed_base(int(want))
 
 
+@pytest.mark.parametrize("p,t", [(2, 6), (3, 2)])
+def test_ext_to_base_three_label_sets(p, t):
+    # (n, k, s) = (3, 3, 2): D = 3 label-sets, so colorings mix coordinates
+    # across label-sets; GF(2^6) is the parity pipeline's field at k = 3
+    idx = edge_index(3, 3, 2)
+    ctx = find_normal_basis(p, t)
+    rng = np.random.default_rng(15)
+    for _ in range(20):
+        x = WeightedKPartiteInput(idx, rng.integers(0, ctx.order, idx.size), ctx)
+        got = ext_to_base_reduce(x, exact_er_eval(idx, PrimeFieldCtx(p)), ctx)
+        assert got == eval_clique_poly(x)
+
+
 def test_input_validation():
     idx = edge_index(2, 3, 2)
     with pytest.raises(ValueError):
@@ -301,3 +308,63 @@ def test_input_validation():
     ctx = find_normal_basis(2, 2)
     with pytest.raises(ValueError):
         WeightedKPartiteInput(idx, np.full(idx.size, 9), ctx)
+
+
+# ---------------------------------------------------------------------------
+# the coloring sum behind all three decompositions, over random small cells
+# ---------------------------------------------------------------------------
+
+def fast_er_eval(idx, p):
+    """Batched oracle for rows over F_p: for every label-complete k-tuple,
+    the product of the entries its label-sets pick, summed mod p."""
+    cols = np.array([[idx.index_of(tuple((tup[j], j) for j in parts))
+                      for parts in idx.label_sets]
+                     for tup in product(range(idx.n), repeat=idx.k)])
+
+    def f(rows):
+        return np.asarray(rows, dtype=np.int64)[:, cols].prod(axis=2).sum(axis=1) % p
+    return f
+
+
+@st.composite
+def small_indices(draw):
+    """Edge indices with D = C(k,s) <= 3 label-sets."""
+    s, k = draw(st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+    return edge_index(draw(st.integers(1, 3)), k, s)
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@PROPERTY
+@given(small_indices(), st.sampled_from([2, 3, 5, 13]), st.integers(1, 4), SEEDS)
+def test_recombine_expansions_equals_polynomial(idx, p, n_bits, seed):
+    field = PrimeFieldCtx(p)
+    bits = np.random.default_rng(seed).integers(0, 2, (idx.size, n_bits), dtype=np.uint8)
+    weights = [1 if p == 2 else pow(2, b, p) for b in range(n_bits)]
+    recon = bits.astype(np.int64) @ np.array(weights) % p
+    got = recombine_expansions(bits, idx, field, fast_er_eval(idx, p))
+    assert got == eval_clique_poly(WeightedKPartiteInput(idx, recon, field))
+
+
+@PROPERTY
+@given(small_indices(), st.sampled_from([2, 3, 5, 13]), st.sampled_from([0.3, 0.5]),
+       st.integers(1, 3), SEEDS)
+def test_weighted_to_unweighted_batch_equals_polynomial(idx, p, c, m, seed):
+    field = PrimeFieldCtx(p)
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, p, (m, idx.size))
+    got = weighted_to_unweighted_batch(pts, idx, field, c, 0.2,
+                                       fast_er_eval(idx, p), rng)
+    want = [eval_clique_poly(WeightedKPartiteInput(idx, row, field)) for row in pts]
+    assert got.tolist() == want
+
+
+@PROPERTY
+@given(small_indices(), st.integers(1, 6), SEEDS)
+def test_ext_to_base_reduce_equals_polynomial(idx, kappa, seed):
+    ctx = find_normal_basis(2, kappa)
+    vals = np.random.default_rng(seed).integers(0, ctx.order, idx.size)
+    x = WeightedKPartiteInput(idx, vals, ctx)
+    assert ext_to_base_reduce(x, fast_er_eval(idx, 2), ctx) == eval_clique_poly(x)
