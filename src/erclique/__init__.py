@@ -5,8 +5,8 @@ from .cliques import (CutoffExceeded, SparsityProfile, brute_force_count,
                       brute_force_count_kpartite, expected_clique_count,
                       greedy_random_sampling, it_gen_cliques,
                       matrix_mult_count, parity_count, required_iterations)
-from .expansion import (ExpansionSpec, SamplerFailure, exact_distribution,
-                        required_t_mod_2, required_t_mod_p, tv_to_uniform)
+from .expansion import (ExpansionSpec, exact_distribution, required_t_mod_2,
+                        required_t_mod_p, tv_to_uniform)
 from .fields import (DecodeFailure, ExtFieldCtx, PrimeFieldCtx, ResidueVector,
                      berlekamp_welch_decode, crt_combine, find_normal_basis,
                      select_primes)

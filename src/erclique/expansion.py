@@ -1,9 +1,16 @@
 """Random biased binary expansions modulo p: exact distributions by dynamic
-programming, explicit length bounds, and rejection samplers for residues
-mod p and parities mod 2.
+programming, explicit length bounds, and exact samplers of an expansion
+conditioned on its residue mod p or its parity.
 
 A spec with parameter t describes t+1 bits Z_0..Z_t; the represented value
-is sum_i 2^i Z_i.
+is sum_i w_i Z_i mod p with bit weights w_i = 2^i mod p, or w_i = 1 for
+p = 2, where the expansion is a plain sum of bits (`bit_weights`).
+
+The samplers draw the bits backwards from the prefix laws F_i (the law of
+sum_{j<i} w_j Z_j mod p): given the residue r of bits 0..i, bit i is 1 with
+probability q_i F_i(r - w_i) / F_{i+1}(r).  This is exactly the conditional
+law of the expansion given its residue, uses t+1 uniforms per entry and
+cannot fail.
 """
 
 from dataclasses import dataclass
@@ -14,10 +21,6 @@ import numpy as np
 
 from .fields import is_prime
 from .util import as_rng
-
-
-class SamplerFailure(Exception):
-    """Rejection sampling exhausted its round budget."""
 
 
 @dataclass(frozen=True)
@@ -50,18 +53,37 @@ class ExpansionSpec:
         return self.t + 1
 
 
+def _bit_weight(p: int, b: int) -> int:
+    return 1 if p == 2 else pow(2, b, p)
+
+
+def bit_weights(p: int, n_bits: int) -> np.ndarray:
+    """Weight of expansion bit b: 2^b mod p, or 1 for p = 2, where the
+    expansion is a plain sum of bits."""
+    return np.array([_bit_weight(p, b) for b in range(n_bits)], dtype=np.int64)
+
+
+def _law_step(f: np.ndarray, q: float, w: int) -> np.ndarray:
+    """Law of R + w Z mod p for R ~ f and an independent Z ~ Ber(q)."""
+    return (1.0 - q) * f + q * np.roll(f, w)
+
+
 @lru_cache(maxsize=4096)
-def _distribution(p: int, qs: tuple[float, ...]) -> tuple[float, ...]:
-    f = np.zeros(p)
-    f[0] = 1.0
+def _prefix_laws(p: int, qs: tuple[float, ...]) -> np.ndarray:
+    """(t+2, p) read-only table whose row i is the law F_i of
+    sum_{j<i} w_j Z_j mod p, Z_j ~ Ber(qs[j]); the last row is the law of
+    the whole expansion."""
+    laws = np.zeros((len(qs) + 1, p))
+    laws[0, 0] = 1.0
     for i, q in enumerate(qs):
-        f = (1.0 - q) * f + q * np.roll(f, pow(2, i, p))
-    return tuple(f)
+        laws[i + 1] = _law_step(laws[i], q, _bit_weight(p, i))
+    laws.flags.writeable = False
+    return laws
 
 
 def exact_distribution(spec: ExpansionSpec) -> np.ndarray:
-    """P[sum_i 2^i Z_i = x mod p] for every residue x, exact up to fp error."""
-    return np.array(_distribution(spec.p, spec.qs))
+    """P[sum_i w_i Z_i = x mod p] for every residue x, exact up to fp error."""
+    return _prefix_laws(spec.p, spec.qs)[-1].copy()
 
 
 def tv_to_uniform(dist) -> float:
@@ -117,7 +139,7 @@ def min_t_for_tv(p: int, c: float, target: float, max_t: int = 4096) -> int:
     f[0] = 1.0
     u = 1.0 / p
     for i in range(max_t + 1):
-        f = (1.0 - c) * f + c * np.roll(f, pow(2, i, p))
+        f = _law_step(f, c, _bit_weight(p, i))
         if 0.5 * np.abs(f - u).sum() <= target:
             return i
     raise ValueError(f"no t <= {max_t} reaches TV {target} for p={p}, c={c}")
@@ -132,82 +154,60 @@ def parity_zero_probability(qs) -> float:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _mod_p_cutoff(p: int, delta: float, tv: float) -> int:
-    if not tv < 1.0 / p:
-        raise ValueError(f"spec TV {tv:.3g} is not below 1/p = {1 / p:.3g}")
-    return max(1, ceil(log(delta) / log(1.0 - 1.0 / p + tv)))
+def _sample_conditioned(residues: np.ndarray, p: int, qs: tuple[float, ...],
+                        rng) -> np.ndarray:
+    """(len(residues), t+1) bits with P[Z_i = 1] = qs[i], drawn from their
+    joint law conditioned on sum_i w_i Z_i = r (mod p) for each residue r.
+
+    Backward pass over the prefix laws: bit i is 1 with probability
+    q_i F_i(r - w_i) / F_{i+1}(r), then r drops by w_i when it is.  A
+    residue the law never reaches (F_{t+1}(r) = 0) gets probability 0
+    instead of 0/0, so its row is all zeros and misses the congruence;
+    callers check reachability first.
+    """
+    laws = _prefix_laws(p, qs)
+    weights = bit_weights(p, len(qs))
+    # below[i, r] = F_i(r - w_i)
+    below = np.take_along_axis(laws[:-1], (np.arange(p) - weights[:, None]) % p,
+                               axis=1)
+    ones = np.divide(np.asarray(qs)[:, None] * below, laws[1:],
+                     out=np.zeros_like(below), where=laws[1:] > 0)
+    r = np.asarray(residues, dtype=np.int64) % p
+    u = rng.random((len(qs), len(r)))
+    out = np.empty((len(r), len(qs)), dtype=np.uint8)
+    for i in range(len(qs) - 1, -1, -1):
+        bit = u[i] < ones[i, r]
+        out[:, i] = bit
+        r = (r - weights[i] * bit) % p
+    return out
 
 
 def sample_expansion_mod_p_batch(xs: np.ndarray, spec: ExpansionSpec,
-                                 delta: float, rng=None) -> np.ndarray:
+                                 rng=None) -> np.ndarray:
     """Bits X_0..X_t with sum 2^i X_i = x (mod p) for every residue x of
-    xs, by rejection from the unconditioned biased expansion.
+    xs, each row drawn exactly from the spec's expansion conditioned on
+    its residue.
 
-    Returns an (len(xs), t+1) 0/1 array whose rows satisfy their congruences.
-    Each row fails with probability at most delta, after
-    ceil(log delta / log(1 - 1/p + TV)) rounds; SamplerFailure is raised if
-    any row exhausts that budget.
+    Returns an (len(xs), t+1) 0/1 array whose rows satisfy their
+    congruences.  Requires the spec's TV to uniform below 1/p, which
+    makes every residue reachable.  Both are checked: a law that misses a
+    residue has TV at least 1/p, but rounding can put it just below.
     """
-    rng = as_rng(rng)
-    p = spec.p
-    xs = np.asarray(xs, dtype=np.int64) % p
-    tv = tv_to_uniform(exact_distribution(spec))
-    cutoff = _mod_p_cutoff(p, delta, tv)
-    nb = spec.n_bits
-    qs = np.array(spec.qs)
-    pow2 = np.array([pow(2, i, p) for i in range(nb)], dtype=np.int64)
-    out = np.zeros((len(xs), nb), dtype=np.uint8)
-    active = np.arange(len(xs))
-    rounds_left = cutoff
-    while active.size and rounds_left > 0:
-        chunk = min(rounds_left, max(4, int(2.5 * p)))
-        draws = (rng.random((chunk, active.size, nb), dtype=np.float32)
-                 < qs.astype(np.float32)).astype(np.uint8)
-        residues = (draws.astype(np.int64) @ pow2) % p  # (chunk, active)
-        hit = residues == xs[active]
-        anyhit = hit.any(axis=0)
-        first = hit.argmax(axis=0)
-        taken = active[anyhit]
-        out[taken] = draws[first[anyhit], np.nonzero(anyhit)[0]]
-        active = active[~anyhit]
-        rounds_left -= chunk
-    if active.size:
-        raise SamplerFailure(f"{active.size} residues unmatched after {cutoff} rounds")
-    return out
+    dist = exact_distribution(spec)
+    tv = tv_to_uniform(dist)
+    if not (tv < 1.0 / spec.p and dist.min() > 0):
+        raise ValueError(f"spec TV {tv:.3g} is not below 1/p = {1 / spec.p:.3g}")
+    return _sample_conditioned(xs, spec.p, spec.qs, as_rng(rng))
 
 
 def sample_expansion_mod_2_batch(rs: np.ndarray, c: float, t: int,
                                  eps: float, rng=None) -> np.ndarray:
-    """Bits X_0..X_t for every parity r of rs, whose parity equals r, with
-    joint law within eps of the product of Ber(c) bits.  Requires
-    t >= required_t_mod_2(c, eps)."""
-    rng = as_rng(rng)
-    if t < required_t_mod_2(c, eps):
-        raise ValueError(f"t={t} below required_t_mod_2={required_t_mod_2(c, eps)}")
-    rs = np.asarray(rs, dtype=np.int64) & 1
-    nb = t + 1
-    # acceptance probability per round, exact
-    pi = prod((1.0 - 2.0 * c) for _ in range(nb))
-    p_even = 0.5 * (1.0 + pi)
-    p_acc = min(p_even, 1.0 - p_even)
-    cutoff = max(60, ceil(log(eps / 2) / log(1 - p_acc))) if p_acc < 1 else 1
-    out = np.zeros((len(rs), nb), dtype=np.uint8)
-    active = np.arange(len(rs))
-    rounds_left = cutoff
-    chunk = 2
-    while active.size and rounds_left > 0:
-        chunk = min(rounds_left, chunk)
-        draws = (rng.random((chunk, active.size, nb), dtype=np.float32)
-                 < np.float32(c)).astype(np.uint8)
-        par = draws.sum(axis=2) & 1
-        hit = par == rs[active]
-        anyhit = hit.any(axis=0)
-        first = hit.argmax(axis=0)
-        taken = active[anyhit]
-        out[taken] = draws[first[anyhit], np.nonzero(anyhit)[0]]
-        active = active[~anyhit]
-        rounds_left -= chunk
-        chunk = min(32, chunk * 2)
-    if active.size:
-        raise SamplerFailure(f"{active.size} parities unmatched after {cutoff} rounds")
-    return out
+    """Bits X_0..X_t of bias c for every parity r of rs, whose parity
+    equals r, drawn from the product of Ber(c) bits conditioned on that
+    parity; with uniform parities the joint law is within eps of the
+    product law.  Requires t >= required_t_mod_2 at the bias bound
+    min(c, 1 - c)."""
+    need = required_t_mod_2(min(c, 1.0 - c), eps)
+    if t < need:
+        raise ValueError(f"t={t} below required_t_mod_2={need}")
+    return _sample_conditioned(rs, 2, (float(c),) * (t + 1), as_rng(rng))

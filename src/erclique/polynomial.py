@@ -24,8 +24,9 @@ from math import comb
 
 import numpy as np
 
-from .expansion import (ExpansionSpec, min_t_for_tv, required_t_mod_2,
-                        sample_expansion_mod_2_batch, sample_expansion_mod_p_batch)
+from .expansion import (ExpansionSpec, bit_weights, min_t_for_tv,
+                        required_t_mod_2, sample_expansion_mod_2_batch,
+                        sample_expansion_mod_p_batch)
 from .fields import ExtFieldCtx, PrimeFieldCtx, berlekamp_welch_decode
 from .hypergraph import EdgeIndex
 from .util import as_rng
@@ -186,10 +187,10 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
 @lru_cache(maxsize=1024)
 def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> ExpansionSpec:
     """Expansion length used by the reduction: the smallest t whose exact
-    distribution is within min(gamma/N, 1/(2p)) of uniform.  The exact
-    certificate replaces the analytic length bound, which is loose by enough
-    to matter to the coloring fan-out; rejection failures are budgeted
-    separately and floored far below gamma/N.
+    distribution is within min(gamma/N, 1/(2p)) of uniform, so each of the
+    N entries adds at most gamma/N to the TV of a query to Erdos-Renyi.  The
+    exact certificate replaces the analytic length bound, which is loose by
+    enough to matter to the coloring fan-out.
 
     Memoised: every curve point of a prime asks for the same spec, and the
     frozen ExpansionSpec is safe to share."""
@@ -199,19 +200,12 @@ def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> Exp
     return ExpansionSpec(p=p, c=c_eff, t=t, qs=(c,) * (t + 1))
 
 
-def _bit_weights(p: int, n_bits: int) -> np.ndarray:
-    """Weight of expansion bit b: 2^b mod p, or 1 for p = 2, where the
-    expansion is a plain sum of bits."""
-    if p == 2:
-        return np.ones(n_bits, dtype=np.int64)
-    return np.array([pow(2, b, p) for b in range(n_bits)], dtype=np.int64)
-
-
 def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
                        gamma: float, rng) -> np.ndarray:
-    """(M, N, B) expansion bits of an (M, N) matrix over F_p, near-Ber(c)
-    bits whose sum (p = 2) or 2^b-weighted sum (odd p) is each entry.
-    Sampler failures propagate as SamplerFailure."""
+    """(M, N, B) expansion bits of an (M, N) matrix over F_p: Ber(c) bits
+    conditioned on their `bit_weights`-weighted sum being each entry, with
+    B chosen so that the expansion of a uniform entry is within gamma/N of
+    independent Ber(c) bits."""
     p = field.p
     m, n_edges = points.shape
     if p == 2:
@@ -220,8 +214,7 @@ def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
         bits = sample_expansion_mod_2_batch(points.ravel(), c, t2, eps, rng)
     else:
         spec = pipeline_expansion_spec(p, c, n_edges, gamma)
-        delta = min(gamma / (2 * n_edges), 1e-9)
-        bits = sample_expansion_mod_p_batch(points.ravel(), spec, delta, rng)
+        bits = sample_expansion_mod_p_batch(points.ravel(), spec, rng)
     return bits.reshape(m, n_edges, -1)
 
 
@@ -237,7 +230,7 @@ def recombine_expansions(per_edge_bits: np.ndarray, index: EdgeIndex,
     `chunk` colorings at a time.
     """
     bits = np.asarray(per_edge_bits)[None]
-    return int(_coloring_sum(bits, _bit_weights(field.p, bits.shape[2]), field,
+    return int(_coloring_sum(bits, bit_weights(field.p, bits.shape[2]), field,
                              index, er_eval, chunk)[0])
 
 
@@ -249,9 +242,10 @@ def weighted_to_unweighted(x: WeightedKPartiteInput, c: float, gamma: float,
     Each entry is decomposed as sum_b 2^b Y_b (mod p) with bits close to
     Ber(c); the polynomial value is recovered as the weighted sum over all
     bit-position colorings of the callback on the coloring's 0/1 vector.
-    Sampler failures (probability at most gamma in total) propagate as
-    SamplerFailure.  For p = 2 the decomposition is a plain sum of bits and
-    the recombination is unweighted.
+    The bits of every entry are drawn exactly from their law conditioned on
+    the entry, so the decomposition never fails.  For p = 2 the
+    decomposition is a plain sum of bits and the recombination is
+    unweighted.
     """
     rng = as_rng(rng)
     field = x.field
@@ -277,7 +271,7 @@ def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
     if points.shape[1] != index.size:
         raise ValueError("points width does not match the edge index")
     bits = _sample_expansions(points, field, c, gamma, rng)
-    return _coloring_sum(bits, _bit_weights(field.p, bits.shape[2]), field,
+    return _coloring_sum(bits, bit_weights(field.p, bits.shape[2]), field,
                          index, er_eval, row_budget)
 
 

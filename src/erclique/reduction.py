@@ -32,7 +32,6 @@ from math import comb, log
 import numpy as np
 
 from . import cliques
-from .expansion import SamplerFailure
 from .fields import (DecodeFailure, PrimeFieldCtx, ResidueVector, crt_combine,
                      find_normal_basis, select_primes)
 from .hypergraph import (Hypergraph, KPartiteHypergraph,
@@ -318,7 +317,7 @@ class _KPLayout:
         """(table, starts, members) for the bit-plane kernel.  The table has
         every k-set of the flat vertices once, as its C(k, s) slots, grouped
         into one segment per set of parts the k-set touches.  members[i, g]
-        is 1 when segment g's part set lies inside part subset i, so a
+        is True when segment g's part set lies inside part subset i, so a
         subset's count is the sum of its members' segment counts."""
         ksets, table = _kset_slots(self.nk, self.k, self.s,
                                    _position_by_colex(self.slot_sets))
@@ -327,7 +326,7 @@ class _KPLayout:
         groups, starts = np.unique(touched[order], return_index=True)
         masks = np.array([sum(1 << j for j in t) for t in self.subsets])
         members = (groups[None, :] & ~masks[:, None]) == 0
-        return table[order], starts, members.astype(np.int64)
+        return table[order], starts, members
 
 
 def _subset_clique_counts(bits: np.ndarray, within: np.ndarray,
@@ -341,7 +340,10 @@ def _subset_clique_counts(bits: np.ndarray, within: np.ndarray,
     table, starts, members = layout.kernel
     planes = np.concatenate([_pack_rows(bits), within])
     per_group = _clique_planes(planes, table, starts, len(bits), parity)
-    out = members @ per_group
+    out = np.zeros((len(members), len(bits)), dtype=np.int64)
+    for row, inside in zip(out, members):
+        for g in np.flatnonzero(inside):
+            row += per_group[g]
     return out & 1 if parity else out
 
 
@@ -407,7 +409,8 @@ def kpartite_to_general_parity(g: KPartiteHypergraph, oracle: AverageCaseOracle,
 @dataclass
 class ReductionParams:
     """Knobs of the reduction: repetitions per prime (majority voted) and
-    the total failure budget for the expansion samplers."""
+    gamma, the total variation budget of the expansions: the law of each
+    oracle query is within gamma of Erdos-Renyi."""
 
     repetitions: int = 5
     gamma: float = 0.05
@@ -567,7 +570,7 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
         for _ in range(params.repetitions):
             try:
                 votes.append(random_self_reduce(x, eval_point, rng))
-            except (SamplerFailure, DecodeFailure):
+            except DecodeFailure:
                 pass
         if votes:
             winner, margin = _majority(votes)
@@ -638,7 +641,7 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     for _ in range(params.repetitions):
         try:
             votes.append(0 if random_self_reduce(x, eval_point, rng) == 0 else 1)
-        except (SamplerFailure, DecodeFailure):
+        except DecodeFailure:
             pass
     succeeded = bool(votes)
     parity = _majority(votes)[0] if votes else 0

@@ -40,12 +40,17 @@ def report(name: str, ok: bool, detail: str = "") -> str:
     return line
 
 
+class _FirstBatchDone(Exception):
+    """Ends a calibration after its first oracle batch."""
+
+
 def calibration_point(s, k, n, c, params, rng):
-    """Oracle calls per second of one curve point of the cell: the expansion
-    decomposition of a random point mod the cell's first prime, each colored
-    row answered through the oracle as to_er_count answers it.  A trial
-    repeats this unit 12*C(k,s) times per prime and repetition, so it costs
-    a small fraction of a trial."""
+    """Oracle calls per second of the first oracle batch of one curve point
+    of the cell: the expansion decomposition of a random point mod the
+    cell's first prime, its first batch of colored rows answered through
+    the oracle as to_er_count answers it.  A batch holds at most 2^14 rows,
+    so the calibration costs at most 2^14 * (2^k - 1) calls, even where a
+    whole curve point costs ~1e8."""
     p = select_primes(n, k, s)[0]
     field = PrimeFieldCtx(p)
     layout = _KPLayout(n, k, s)
@@ -54,11 +59,15 @@ def calibration_point(s, k, n, c, params, rng):
                               field.rand_vec(layout.index.size, rng), field)
 
     def er_eval(rows):
-        return _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c, rng,
-                                parity=False) % p
+        _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c, rng,
+                         parity=False)
+        raise _FirstBatchDone
 
     t1 = time.monotonic()
-    weighted_to_unweighted(x, c, params.gamma, er_eval, rng)
+    try:
+        weighted_to_unweighted(x, c, params.gamma, er_eval, rng)
+    except _FirstBatchDone:
+        pass
     return oracle.calls / (time.monotonic() - t1)
 
 

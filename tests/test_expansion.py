@@ -3,6 +3,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erclique.expansion import (ExpansionSpec, closed_form_tv_unbiased, exact_distribution,
                                 min_t_for_tv, parity_zero_probability,
@@ -124,7 +126,7 @@ def test_mod_p_sampler_congruence():
     rng = np.random.default_rng(0)
     for x in range(3):
         for _ in range(30):
-            bits = sample_expansion_mod_p_batch(np.array([x]), spec, 1e-9, rng)[0]
+            bits = sample_expansion_mod_p_batch(np.array([x]), spec, rng)[0]
             assert sum(int(b) << i for i, b in enumerate(bits)) % 3 == x
 
 
@@ -133,7 +135,7 @@ def test_mod_p_sampler_congruence_batch():
     spec = ExpansionSpec(p=p, c=0.3, t=min_t_for_tv(p, 0.3, 0.01))
     rng = np.random.default_rng(1)
     xs = np.tile(np.arange(p), 300)
-    bits = sample_expansion_mod_p_batch(xs, spec, 1e-9, rng)
+    bits = sample_expansion_mod_p_batch(xs, spec, rng)
     pow2 = np.array([pow(2, i, p) for i in range(bits.shape[1])])
     assert ((bits.astype(np.int64) @ pow2) % p == xs).all()
 
@@ -142,24 +144,33 @@ def test_mod_p_sampler_requires_tv_margin():
     # two bits cannot cover F_13, TV precondition fails
     spec = ExpansionSpec(p=13, c=0.5, t=1)
     with pytest.raises(ValueError):
-        sample_expansion_mod_p_batch(np.array([1]), spec, 1e-3,
+        sample_expansion_mod_p_batch(np.array([1]), spec,
+                                     np.random.default_rng(0))
+    # two bits miss 4 mod 5; the TV is 1/p exactly but computes just below
+    spec = ExpansionSpec(p=5, c=0.5, t=1)
+    with pytest.raises(ValueError):
+        sample_expansion_mod_p_batch(np.array([4]), spec,
                                      np.random.default_rng(0))
 
 
-def test_mod_p_conditional_law():
-    # empirical law of accepted samples vs the enumerated conditional law
-    p, t, c, x = 5, 4, 0.3, 2
-    spec = ExpansionSpec(p=p, c=c, t=t)
+@pytest.mark.parametrize("p,t,c,x", [(5, 4, 0.3, 2), (2, 4, 0.3, 1)])
+def test_mod_p_conditional_law(p, t, c, x):
+    # empirical law of the samples vs the enumerated conditional law; p = 2
+    # conditions the parity, through the mod-2 sampler
+    weight = (lambda i: 1) if p == 2 else (lambda i: 2 ** i)
     target = {}
     for bits in product((0, 1), repeat=t + 1):
-        if sum(b << i for i, b in enumerate(bits)) % p == x:
+        if sum(b * weight(i) for i, b in enumerate(bits)) % p == x:
             target[bits] = math.prod(c if b else 1 - c for b in bits)
     z = sum(target.values())
     target = {k: v / z for k, v in target.items()}
     rng = np.random.default_rng(7)
     n = 100_000
     xs = np.full(n, x)
-    samples = sample_expansion_mod_p_batch(xs, spec, 1e-9, rng)
+    if p == 2:
+        samples = sample_expansion_mod_2_batch(xs, c, t, 0.2, rng)
+    else:
+        samples = sample_expansion_mod_p_batch(xs, ExpansionSpec(p=p, c=c, t=t), rng)
     seen = {}
     for row in samples:
         key = tuple(int(v) for v in row)
@@ -167,6 +178,38 @@ def test_mod_p_conditional_law():
     assert set(seen) <= set(target)  # congruence never violated
     tv = 0.5 * sum(abs(seen.get(k, 0) / n - pr) for k, pr in target.items())
     assert tv <= 0.02
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 13]), t=st.integers(0, 12),
+       c=st.floats(0.05, 0.5), eps=st.floats(0.01, 0.5), data=st.data())
+def test_samplers_keep_every_congruence(p, t, c, eps, data):
+    # every residue, biases in [c, 1 - c]: each row sums to its residue
+    # under weights 2^i mod p (1 for p = 2), and a call raises exactly
+    # when its precondition fails
+    bias = st.floats(c, 1 - c)
+    xs = np.tile(np.arange(p), 50)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if p == 2:
+        q = data.draw(bias)
+        holds = t >= required_t_mod_2(min(q, 1 - q), eps)
+        sample = lambda: sample_expansion_mod_2_batch(xs, q, t, eps, rng)
+        weights = np.ones(t + 1, dtype=np.int64)
+    else:
+        spec = ExpansionSpec(p=p, c=c, t=t,
+                             qs=tuple(data.draw(bias) for _ in range(t + 1)))
+        dist = exact_distribution(spec)
+        holds = tv_to_uniform(dist) < 1 / p and dist.min() > 0
+        sample = lambda: sample_expansion_mod_p_batch(xs, spec, rng)
+        weights = np.array([pow(2, i, p) for i in range(t + 1)])
+    if not holds:
+        with pytest.raises(ValueError):
+            sample()
+        return
+    bits = sample()
+    assert bits.shape == (len(xs), t + 1)
+    assert set(np.unique(bits)) <= {0, 1}
+    assert ((bits.astype(np.int64) @ weights) % p == xs).all()
 
 
 def test_mod_p_uniform_composition():
@@ -179,7 +222,7 @@ def test_mod_p_uniform_composition():
     rng = np.random.default_rng(11)
     n = 200_000
     xs = rng.integers(0, p, n)
-    samples = sample_expansion_mod_p_batch(xs, spec, 1e-9, rng)
+    samples = sample_expansion_mod_p_batch(xs, spec, rng)
     seen = np.zeros(2 ** (t + 1))
     weights = 1 << np.arange(t + 1)
     np.add.at(seen, samples.astype(np.int64) @ weights, 1)

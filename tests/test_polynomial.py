@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erclique.cliques import brute_force_count_kpartite
-from erclique.expansion import SamplerFailure
 from erclique.fields import PrimeFieldCtx, find_normal_basis
 from erclique.hypergraph import KPartiteHypergraph, edge_index
 from erclique.polynomial import (WeightedKPartiteInput, eval_clique_poly,
@@ -200,16 +199,11 @@ def test_recombination_mod2_unweighted():
 def test_weighted_to_unweighted_exact():
     idx = edge_index(2, 3, 2)
     rng = np.random.default_rng(9)
-    ok = 0
     for _ in range(100):
         vals = rng.integers(0, 13, idx.size)
         x = WeightedKPartiteInput(idx, vals, F13)
-        try:
-            got = weighted_to_unweighted(x, 0.5, 0.02, exact_er_eval(idx, F13), rng)
-            ok += got == eval_clique_poly(x)
-        except SamplerFailure:
-            pass
-    assert ok >= 97
+        got = weighted_to_unweighted(x, 0.5, 0.02, exact_er_eval(idx, F13), rng)
+        assert got == eval_clique_poly(x)
 
 
 def test_weighted_to_unweighted_batch_matches_single_semantics():

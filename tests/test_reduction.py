@@ -200,7 +200,9 @@ def test_to_er_parity_k5():
     assert rep.succeeded
 
 
-@pytest.mark.parametrize("c,gamma", [(0.5, 0.2), (0.3, 0.5)])
+# c = 0.6: the mod-2 expansion sizes and checks its length at the bias
+# bound min(c, 1 - c), so densities above 1/2 run too
+@pytest.mark.parametrize("c,gamma", [(0.5, 0.2), (0.3, 0.5), (0.6, 0.5)])
 def test_to_er_parity_random(c, gamma):
     params = ReductionParams(repetitions=1, gamma=gamma)
     for seed in (3, 4):
