@@ -15,7 +15,7 @@ from .hypergraph import (EdgeIndex, Hypergraph, KPartiteHypergraph,
                          sample_er, sample_er_kpartite, write_hypergraph)
 from .polynomial import (WeightedKPartiteInput, eval_clique_poly,
                          ext_to_base_reduce, random_self_reduce,
-                         weighted_to_unweighted)
+                         weighted_to_unweighted_batch)
 from .reduction import (AverageCaseOracle, ParityReport, ReductionParams,
                         ReductionReport, SlowdownParams, compute_slowdowns,
                         decide_via_parity, kpartite_to_general_count,

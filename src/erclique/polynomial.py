@@ -7,15 +7,17 @@ sum_a w_a * y_a over an alphabet of colors; because the polynomial takes
 one entry from each of its D = C(k,s) label-sets, its value is the sum
 over all colorings a of the label-sets of prod_S w_{a(S)} times its value
 on the coloring's input (`_coloring_sum`).  The binary-expansion
-decomposition (`recombine_expansions`, `weighted_to_unweighted`,
-`weighted_to_unweighted_batch`) colors by bit positions with weights
-2^b mod p (1 for p = 2); the extension-to-base decomposition
-(`ext_to_base_reduce`) colors by normal-basis coordinates with weights
-beta^(p^i).
+decomposition (`recombine_expansions`, `weighted_to_unweighted_batch`)
+colors by bit positions with weights 2^b mod p (1 for p = 2); the
+extension-to-base decomposition (`ext_to_base_reduce`) colors by
+normal-basis coordinates with weights beta^(p^i).
 
-Callback contracts: `er_eval`/`base_eval` callbacks are batched; they take an
-(M, N) 0/1 (resp. base-field) matrix, one input per row, and return a length-M
-integer vector of polynomial values.  Scalar usage is the M = 1 case.
+Callback contracts: every callback is batched.  `random_self_reduce`'s
+`eval_at` takes the (12D, N) matrix of curve points over the field, one
+point per row, and returns their 12D claimed values.  `er_eval`/`base_eval`
+take an (M, N) 0/1 (resp. base-field) matrix, one input per row, and return
+a length-M integer vector of polynomial values.  Scalar usage is the M = 1
+case.
 """
 
 from dataclasses import dataclass
@@ -157,10 +159,11 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
     """Evaluate the clique polynomial at a worst-case point from 12*D claimed
     evaluations along a random quadratic curve, D = C(k,s).
 
-    `eval_at` receives a WeightedKPartiteInput at an arbitrary point of the
-    field vector space and returns a claimed field value; up to
-    floor((12D - 2D - 1)/2) wrong answers are corrected by decoding.  The
-    curve passes through x at 0, so the decoded constant term is the value.
+    `eval_at` receives the (12D, N) matrix whose row i - 1 is the curve
+    point at t = i, over x's field, and returns the 12D claimed values;
+    up to floor((12D - 2D - 1)/2) wrong answers are corrected by decoding.
+    The curve passes through x at 0, so the decoded constant term is the
+    value.
     """
     rng = as_rng(rng)
     ctx = x.field
@@ -171,13 +174,14 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
         raise ValueError(f"field of order {ctx.order} too small for {m} nonzero points")
     y1 = ctx.rand_vec(index.size, rng)
     y2 = ctx.rand_vec(index.size, rng)
-    points = []
-    for i in range(1, m + 1):
-        t = ctx.element(i)
-        g = ctx.sum_vec(np.stack([x.values, ctx.mul_vec(t, y1),
-                                  ctx.mul_vec(ctx.mul(t, t), y2)], axis=-1))
-        points.append((t, int(eval_at(WeightedKPartiteInput(index, g, ctx)))))
-    return berlekamp_welch_decode(points, 2 * d, ctx)
+    ts = np.array([ctx.element(i) for i in range(1, m + 1)], dtype=np.int64)[:, None]
+    points = ctx.sum_vec(np.stack(np.broadcast_arrays(
+        x.values, ctx.mul_vec(ts, y1), ctx.mul_vec(ctx.mul_vec(ts, ts), y2)), axis=-1))
+    values = np.asarray(eval_at(points), dtype=np.int64)
+    if values.shape != (m,):
+        raise ValueError(f"eval_at returned shape {values.shape} for {m} points")
+    return berlekamp_welch_decode(list(zip(ts[:, 0].tolist(), values.tolist())),
+                                  2 * d, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +204,13 @@ def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> Exp
     return ExpansionSpec(p=p, c=c_eff, t=t, qs=(c,) * (t + 1))
 
 
+def pipeline_mod_2_t(c: float, n_edges: int, gamma: float) -> int:
+    """Mod-2 expansion length used by the reduction: t + 1 bits of bias c
+    whose parity is within gamma/N of uniform, so each of the N entries
+    adds at most gamma/N to the TV of a query to Erdos-Renyi."""
+    return required_t_mod_2(min(c, 1.0 - c), gamma / n_edges)
+
+
 def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
                        gamma: float, rng) -> np.ndarray:
     """(M, N, B) expansion bits of an (M, N) matrix over F_p: Ber(c) bits
@@ -209,9 +220,9 @@ def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
     p = field.p
     m, n_edges = points.shape
     if p == 2:
-        eps = gamma / n_edges
-        t2 = required_t_mod_2(min(c, 1.0 - c), eps)
-        bits = sample_expansion_mod_2_batch(points.ravel(), c, t2, eps, rng)
+        bits = sample_expansion_mod_2_batch(points.ravel(), c,
+                                            pipeline_mod_2_t(c, n_edges, gamma),
+                                            gamma / n_edges, rng)
     else:
         spec = pipeline_expansion_spec(p, c, n_edges, gamma)
         bits = sample_expansion_mod_p_batch(points.ravel(), spec, rng)
@@ -234,37 +245,21 @@ def recombine_expansions(per_edge_bits: np.ndarray, index: EdgeIndex,
                              index, er_eval, chunk)[0])
 
 
-def weighted_to_unweighted(x: WeightedKPartiteInput, c: float, gamma: float,
-                           er_eval, rng=None) -> int:
-    """Evaluate the polynomial at an arbitrary field point using a callback
-    that only evaluates 0/1 points.
-
-    Each entry is decomposed as sum_b 2^b Y_b (mod p) with bits close to
-    Ber(c); the polynomial value is recovered as the weighted sum over all
-    bit-position colorings of the callback on the coloring's 0/1 vector.
-    The bits of every entry are drawn exactly from their law conditioned on
-    the entry, so the decomposition never fails.  For p = 2 the
-    decomposition is a plain sum of bits and the recombination is
-    unweighted.
-    """
-    rng = as_rng(rng)
-    field = x.field
-    if not isinstance(field, PrimeFieldCtx):
-        raise ValueError("weighted_to_unweighted runs over a prime field")
-    bits = _sample_expansions(x.values[None], field, c, gamma, rng)
-    return recombine_expansions(bits[0], x.index, field, er_eval)
-
-
 def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
                                  field: PrimeFieldCtx, c: float, gamma: float,
                                  er_eval, rng=None,
                                  row_budget: int = 1 << 14) -> np.ndarray:
-    """Apply the expansion decomposition to a whole batch of field points.
+    """Evaluate the polynomial at a batch of field points using a callback
+    that only evaluates 0/1 points.
 
     points: (M, N) matrix over F_p; returns the length-M vector of polynomial
-    values.  Expansions for all rows are sampled at once and the coloring
-    sums of all rows are evaluated in shared er_eval batches, which is
-    what makes the parity pipeline's extension-field fan-out tractable.
+    values.  Each entry is decomposed as sum_b w_b Y_b (mod p) with bits
+    close to Ber(c) (w_b = 2^b mod p, or 1 for p = 2), drawn exactly from
+    their law conditioned on the entry, so the decomposition never fails.
+    A point's value is the weighted sum over all bit-position colorings of
+    er_eval on the coloring's 0/1 vector.  Expansions for all rows are
+    sampled at once and the coloring sums of all rows are evaluated in
+    shared er_eval batches of at most `row_budget` rows.
     """
     rng = as_rng(rng)
     points = np.asarray(points, dtype=np.int64) % field.p

@@ -10,9 +10,11 @@ inputs, and inclusion-exclusion over vertex-label subsets that converts
 k-partite counting into plain counting on induced subhypergraphs.  The
 coloring sum (see `polynomial`) colors the label-sets by binary-expansion
 bits for counting, and by normal-basis coordinates, then mod-2 expansion
-bits when c != 1/2, for parity.  Oracle calls are issued in coloring
-batches so that desk-scale parameter grids are tractable; batch and
-single-call semantics agree.
+bits when c != 1/2, for parity.  One memoised `ReductionPlan` per
+(n, k, s, c, gamma) fixes the fields, the expansion lengths and the
+predicted oracle calls of both pipelines.  Oracle calls are issued in
+coloring batches so that desk-scale parameter grids are tractable; batch
+and single-call semantics agree.
 
 Oracle queries are answered by one of two routes, chosen by the oracle's
 counter.  The default counters (`cliques.brute_force_count` and
@@ -25,20 +27,20 @@ one Hypergraph per query.
 
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain, combinations
-from math import comb, log
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, takewhile
+from math import comb, log, prod
 
 import numpy as np
 
 from . import cliques
 from .fields import (DecodeFailure, PrimeFieldCtx, ResidueVector, crt_combine,
-                     find_normal_basis, select_primes)
+                     find_normal_basis, primes_greater_than, select_primes)
 from .hypergraph import (Hypergraph, KPartiteHypergraph,
                          blow_up_k_partite, edge_index)
 from .polynomial import (WeightedKPartiteInput, ext_to_base_reduce,
-                         pipeline_expansion_spec, random_self_reduce,
-                         weighted_to_unweighted, weighted_to_unweighted_batch)
+                         pipeline_expansion_spec, pipeline_mod_2_t,
+                         random_self_reduce, weighted_to_unweighted_batch)
 from .util import as_rng
 
 
@@ -281,6 +283,9 @@ def _label_inclusion_exclusion(counts_by_subset: dict, k: int):
 
 
 _MAX_BATCH = 1 << 14  # rows per vectorized counting pass
+# rows per oracle batch of a counting curve: 4096-row batches run as fast as
+# 16384-row ones there, with a smaller peak working set
+_CURVE_CHUNK = 1 << 12
 
 
 class _KPLayout:
@@ -433,6 +438,8 @@ class ReductionReport:
     prime_bits: dict = field(default_factory=dict)
     vote_margins: dict = field(default_factory=dict)
     failed_primes: tuple = ()
+    # (prime, repetition, message) of every repetition whose decode failed
+    decode_failures: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -445,6 +452,8 @@ class ReductionReport:
             "prime_bits": {str(p): b for p, b in self.prime_bits.items()},
             "vote_margins": {str(p): m for p, m in self.vote_margins.items()},
             "failed_primes": list(self.failed_primes),
+            "decode_failures": [{"prime": p, "repetition": r, "error": msg}
+                                for p, r, msg in self.decode_failures],
         }
 
 
@@ -455,6 +464,8 @@ class ParityReport:
     injected_errors: int
     succeeded: bool
     votes: tuple = ()
+    # (repetition, message) of every repetition whose decode failed
+    decode_failures: tuple = ()
 
     def to_json(self) -> dict:
         return {
@@ -463,6 +474,8 @@ class ParityReport:
             "injected_errors": self.injected_errors,
             "succeeded": self.succeeded,
             "votes": list(self.votes),
+            "decode_failures": [{"repetition": r, "error": msg}
+                                for r, msg in self.decode_failures],
         }
 
 
@@ -490,19 +503,142 @@ def compute_slowdowns(n: int, c: float, k: int, s: int, c_const: float = 1.0) ->
     return SlowdownParams(upsilon_sharp=sharp, upsilon_p1=p1, upsilon_p2=p2)
 
 
-def pipeline_bit_counts(n: int, k: int, s: int, c: float, gamma: float) -> dict:
-    """Expansion bit count the pipeline will use for each selected prime."""
-    n_edges = comb(k, s) * n ** s
-    return {p: pipeline_expansion_spec(p, c, n_edges, gamma).n_bits
-            for p in select_primes(n, k, s)}
+# ---------------------------------------------------------------------------
+# the reduction plan
+# ---------------------------------------------------------------------------
+
+def _fewest_call_primes(bits: dict, target: int, d: int) -> tuple:
+    """The set of primes, from the keys of `bits` (prime -> expansion
+    length T_p), whose product exceeds `target` and that minimises
+    sum_p T_p^d; ties go to fewer primes, then to the larger product.
+    Returned in increasing order.
+
+    A set's cost depends only on how many primes it takes of each length,
+    and for given counts the largest primes of each length give the largest
+    product.  So the exact search runs over those counts alone, taking the
+    largest primes of each length.
+    """
+    by_length = {}
+    for p in sorted(bits, reverse=True):
+        by_length.setdefault(bits[p], []).append(p)
+    levels = sorted(by_length.items())
+    best = None  # ((cost, size, -product), primes)
+
+    def search(level, chosen, product, cost):
+        nonlocal best
+        if product > target:
+            key = (cost, len(chosen), -product)
+            if best is None or key < best[0]:
+                best = key, chosen
+            return
+        # not yet past the target: any completion adds a prime, so it costs
+        # more than `cost` and cannot beat `best`
+        if level == len(levels) or (best is not None and cost >= best[0][0]):
+            return
+        t, primes = levels[level]
+        for j in range(len(primes) + 1):
+            more = prod(primes[:j])
+            search(level + 1, chosen + primes[:j], product * more, cost + j * t ** d)
+            if product * more > target:  # more primes of this length only add cost
+                break
+
+    search(0, [], 1, 0)
+    return tuple(sorted(best[1]))
+
+
+@dataclass(frozen=True)
+class ReductionPlan:
+    """What the counting and parity pipelines fix before their first oracle
+    call, for one (n, k, s, c, gamma): their fields, expansion lengths and
+    oracle calls per repetition.  `reduction_plan` builds and memoises it.
+
+    Counting works mod a set of primes, each above 12D (D = C(k,s)) so that
+    the curve has 12D distinct nonzero points, and with product above
+    C(n,k), the largest possible count.  Among such sets it takes the one
+    with the fewest oracle calls (`prime_bits`).  Parity works over
+    GF(2^kappa), the smallest binary field with more than 12D elements.
+    """
+
+    n: int
+    k: int
+    s: int
+    c: float
+    gamma: float
+
+    @property
+    def d(self) -> int:
+        """Label-sets, and the degree of the clique polynomial."""
+        return comb(self.k, self.s)
+
+    @property
+    def n_edges(self) -> int:
+        return self.d * self.n ** self.s
+
+    @property
+    def queries(self) -> int:
+        """Oracle calls per evaluation at a 0/1 point: 2^k - 1 part subsets."""
+        return 2 ** self.k - 1
+
+    @cached_property
+    def prime_bits(self) -> tuple:
+        """((p, T_p), ...) in increasing p: the counting primes and their
+        expansion lengths, minimising sum_p T_p^D.  The candidates are the
+        primes in (12D, 72D], widened up to `select_primes`' largest prime
+        where that is larger, so they always hold a set whose product passes
+        n^k >= C(n,k).  Computed on first use, so the parity pipeline does
+        not pay for it."""
+        d = self.d
+        top = max(72 * d, select_primes(self.n, self.k, self.s)[-1])
+        bits = {p: pipeline_expansion_spec(p, self.c, self.n_edges, self.gamma).n_bits
+                for p in takewhile(lambda p: p <= top, primes_greater_than(12 * d))}
+        primes = _fewest_call_primes(bits, comb(self.n, self.k), d)
+        return tuple((p, bits[p]) for p in primes)
+
+    @property
+    def primes(self) -> tuple:
+        return tuple(p for p, _ in self.prime_bits)
+
+    @property
+    def count_calls(self) -> int:
+        """Oracle calls of one counting repetition when its decodes succeed:
+        sum over primes of 12D * T_p^D * (2^k - 1)."""
+        return sum(12 * self.d * t ** self.d * self.queries
+                   for _, t in self.prime_bits)
+
+    @property
+    def kappa(self) -> int:
+        return max(1, (12 * self.d - 1).bit_length())
+
+    @property
+    def mod_2_bits(self) -> int:
+        """Bits per entry of the parity pipeline's mod-2 expansions; 1 at
+        c = 1/2, where base-field inputs are already uniform and are not
+        expanded."""
+        if self.c == 0.5:
+            return 1
+        return pipeline_mod_2_t(self.c, self.n_edges, self.gamma) + 1
+
+    @property
+    def parity_calls(self) -> int:
+        """Oracle calls of one parity repetition: 12D * kappa^D extension
+        colorings, each with mod_2_bits^D expansion colorings, each costing
+        2^k - 1 calls."""
+        return (12 * self.d * (self.kappa * self.mod_2_bits) ** self.d
+                * self.queries)
+
+
+@lru_cache(maxsize=256)
+def reduction_plan(n: int, k: int, s: int, c: float, gamma: float) -> ReductionPlan:
+    """The memoised plan of one (n, k, s, c, gamma)."""
+    return ReductionPlan(n, k, s, c, gamma)
 
 
 def flip_rate_for_tolerance(n: int, k: int, s: int, c: float,
                             gamma: float = 0.05) -> float:
     """Oracle error rate 1 / (4 t^D 2^k) with t the largest per-prime
     expansion bit count used by the pipeline."""
-    bits = max(pipeline_bit_counts(n, k, s, c, gamma).values())
-    return 1.0 / (4 * bits ** comb(k, s) * 2 ** k)
+    plan = reduction_plan(n, k, s, c, gamma)
+    return 1.0 / (4 * max(t for _, t in plan.prime_bits) ** plan.d * 2 ** k)
 
 
 def predicted_oracle_calls(n: int, k: int, s: int, c: float,
@@ -510,9 +646,15 @@ def predicted_oracle_calls(n: int, k: int, s: int, c: float,
     """Oracle calls to_er_count will issue when no repetition aborts:
     sum over primes of R * 12D * bits^D * (2^k - 1)."""
     params = params or ReductionParams()
-    d = comb(k, s)
-    return sum(params.repetitions * 12 * d * b ** d * (2 ** k - 1)
-               for b in pipeline_bit_counts(n, k, s, c, params.gamma).values())
+    return params.repetitions * reduction_plan(n, k, s, c, params.gamma).count_calls
+
+
+def predicted_parity_calls(n: int, k: int, s: int, c: float,
+                           params: ReductionParams = None) -> int:
+    """Oracle calls to_er_parity will issue when no repetition aborts:
+    R * 12D * kappa^D * (2^k - 1), times bits2^D when c != 1/2."""
+    params = params or ReductionParams()
+    return params.repetitions * reduction_plan(n, k, s, c, params.gamma).parity_calls
 
 
 # ---------------------------------------------------------------------------
@@ -534,44 +676,47 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
                 reference=None) -> ReductionReport:
     """Count k-cliques of a worst-case hypergraph using only the oracle.
 
-    Blow up to a k-partite instance, evaluate the clique polynomial mod each
-    selected prime by random self-reduction (each curve point evaluated by the
-    expansion decomposition, each 0/1 evaluation by inclusion-exclusion over
-    oracle answers), majority-vote the repeated per-prime residues, and
-    recombine by Chinese remaindering.  With an exact oracle the output
-    equals the true count whenever every decode succeeds.
+    Blow up to a k-partite instance and evaluate the clique polynomial mod
+    each prime of the plan (`reduction_plan`) by random self-reduction.  The
+    12D points of a curve are evaluated together by the expansion
+    decomposition (`weighted_to_unweighted_batch`), whose 0/1 rows reach the
+    oracle through inclusion-exclusion in shared batches.  The repeated
+    per-prime residues are majority-voted and recombined by Chinese
+    remaindering.  With an exact oracle the output equals the true count
+    whenever every decode succeeds; a failed decode is recorded in the
+    report with its prime, repetition and cause.
     """
     params = params or ReductionParams()
     rng = as_rng(rng)
     if not 0 < c < 1:
         raise ValueError("c must be in (0,1)")
     n, s = g.n, g.s
+    plan = reduction_plan(n, k, s, c, params.gamma)
     layout = _KPLayout(n, k, s)
     xbits = blow_up_k_partite(g, k).to_bits(layout.index)
-    primes = select_primes(n, k, s)
     calls_before = oracle.calls
     injected_before = oracle.injected
 
-    residues, margins, bits_used, failed = [], {}, {}, []
-    for p in primes:
+    residues, margins, failed, failures = [], {}, [], []
+    for p in plan.primes:
         ctx = PrimeFieldCtx(p)
-        spec = pipeline_expansion_spec(p, c, layout.index.size, params.gamma)
-        bits_used[p] = spec.n_bits
         x = WeightedKPartiteInput(layout.index, xbits % p, ctx)
 
         def er_eval(rows):
-            return _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c,
-                                    rng, parity=False) % p
+            return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
+                                    oracle, c, rng, parity=False) % p
 
-        def eval_point(point):
-            return weighted_to_unweighted(point, c, params.gamma, er_eval, rng)
+        def eval_at(points):
+            return weighted_to_unweighted_batch(points, layout.index, ctx, c,
+                                                params.gamma, er_eval, rng,
+                                                _CURVE_CHUNK)
 
         votes = []
-        for _ in range(params.repetitions):
+        for rep in range(params.repetitions):
             try:
-                votes.append(random_self_reduce(x, eval_point, rng))
-            except DecodeFailure:
-                pass
+                votes.append(random_self_reduce(x, eval_at, rng))
+            except DecodeFailure as exc:
+                failures.append((p, rep, str(exc)))
         if votes:
             winner, margin = _majority(votes)
             residues.append(winner)
@@ -581,15 +726,16 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
             margins[p] = 0
             failed.append(p)
 
-    rv = ResidueVector(tuple(primes), tuple(residues))
+    rv = ResidueVector(plan.primes, tuple(residues))
     count = crt_combine(rv)
     succeeded = not failed and (reference is None or count == reference)
     return ReductionReport(
         count=count, residues=rv,
         oracle_calls=oracle.calls - calls_before,
         injected_errors=oracle.injected - injected_before,
-        succeeded=succeeded, prime_bits=bits_used, vote_margins=margins,
-        failed_primes=tuple(failed))
+        succeeded=succeeded, prime_bits=dict(plan.prime_bits),
+        vote_margins=margins, failed_primes=tuple(failed),
+        decode_failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -602,20 +748,20 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     """Parity of the k-clique count of a worst-case hypergraph using a parity
     oracle on near-ER inputs.
 
-    The polynomial is evaluated over the binary extension field of order
-    2^ceil(log2(12 C(k,s))) by random self-reduction; each curve point is
-    decomposed onto the normal basis into base-field inputs, which at
-    c = 1/2 are already uniform 0/1 vectors (fast path) and otherwise pass
-    through the mod-2 expansion decomposition.
+    The polynomial is evaluated over the plan's binary extension field
+    GF(2^kappa), of order above 12 C(k,s), by random self-reduction; each
+    curve point is decomposed onto the normal basis into base-field inputs,
+    which at c = 1/2 are already uniform 0/1 vectors (fast path) and
+    otherwise pass through the mod-2 expansion decomposition.  A failed
+    decode is recorded in the report with its repetition and cause.
     """
     params = params or ReductionParams()
     rng = as_rng(rng)
     if not 0 < c < 1:
         raise ValueError("c must be in (0,1)")
     n, s = g.n, g.s
-    d = comb(k, s)
-    kappa = max(1, (12 * d - 1).bit_length())
-    ctx = find_normal_basis(2, kappa)
+    plan = reduction_plan(n, k, s, c, params.gamma)
+    ctx = find_normal_basis(2, plan.kappa)
     f2 = PrimeFieldCtx(2)
     layout = _KPLayout(n, k, s)
     xbits = blow_up_k_partite(g, k).to_bits(layout.index)
@@ -624,8 +770,8 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     injected_before = oracle.injected
 
     def parity_eval(rows):
-        return _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c,
-                                rng, parity=True)
+        return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
+                                oracle, c, rng, parity=True)
 
     if c == 0.5:
         base_eval = parity_eval
@@ -634,15 +780,18 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
             return weighted_to_unweighted_batch(rows, layout.index, f2, c,
                                                 params.gamma, parity_eval, rng)
 
-    def eval_point(point):
-        return ext_to_base_reduce(point, base_eval, ctx)
+    def eval_at(points):
+        # point by point: batching the points, as the counting curve does,
+        # would change the order in which the random draws are used
+        return [ext_to_base_reduce(WeightedKPartiteInput(layout.index, point, ctx),
+                                   base_eval, ctx) for point in points]
 
-    votes = []
-    for _ in range(params.repetitions):
+    votes, failures = [], []
+    for rep in range(params.repetitions):
         try:
-            votes.append(0 if random_self_reduce(x, eval_point, rng) == 0 else 1)
-        except DecodeFailure:
-            pass
+            votes.append(0 if random_self_reduce(x, eval_at, rng) == 0 else 1)
+        except DecodeFailure as exc:
+            failures.append((rep, str(exc)))
     succeeded = bool(votes)
     parity = _majority(votes)[0] if votes else 0
     if reference is not None:
@@ -650,7 +799,8 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     return ParityReport(parity=parity,
                         oracle_calls=oracle.calls - calls_before,
                         injected_errors=oracle.injected - injected_before,
-                        succeeded=succeeded, votes=tuple(votes))
+                        succeeded=succeeded, votes=tuple(votes),
+                        decode_failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ pytest -s or in failure output) and pins its tolerances inline.
 Criterion 1 includes a hard wall-clock budget; the test enforces it by
 projecting each parameter combination's oracle-call count (a closed-form
 function of the selected primes and expansion lengths) against the call
-throughput measured on the combination's own (s, k), refusing to start
+throughput measured on the combination's own (s, k, n), refusing to start
 combinations that cannot finish inside the budget, and failing if anything
 had to be skipped.
 """
@@ -21,16 +21,16 @@ from erclique.cliques import (CutoffExceeded, brute_force_count,
 from erclique.expansion import (ExpansionSpec, closed_form_tv_unbiased,
                                 exact_distribution, required_t_mod_p,
                                 tv_to_uniform)
-from erclique.fields import PrimeFieldCtx, berlekamp_welch_decode, select_primes
+from erclique.fields import PrimeFieldCtx, berlekamp_welch_decode
 from erclique.hypergraph import (Hypergraph, adversarial_suite, sample_er,
                                  sample_er_kpartite)
-from erclique.polynomial import WeightedKPartiteInput, weighted_to_unweighted
+from erclique.polynomial import weighted_to_unweighted_batch
 from erclique.reduction import (AverageCaseOracle, ReductionParams, _KPLayout,
                                 _kp_counts_batch, decide_via_parity,
                                 flip_rate_for_tolerance,
                                 kpartite_to_general_count,
-                                predicted_oracle_calls, to_er_count,
-                                to_er_parity)
+                                predicted_oracle_calls, reduction_plan,
+                                to_er_count, to_er_parity)
 from erclique.util import trial_rng
 
 
@@ -47,16 +47,16 @@ class _FirstBatchDone(Exception):
 def calibration_point(s, k, n, c, params, rng):
     """Oracle calls per second of the first oracle batch of one curve point
     of the cell: the expansion decomposition of a random point mod the
-    cell's first prime, its first batch of colored rows answered through
-    the oracle as to_er_count answers it.  A batch holds at most 2^14 rows,
-    so the calibration costs at most 2^14 * (2^k - 1) calls, even where a
-    whole curve point costs ~1e8."""
-    p = select_primes(n, k, s)[0]
+    first prime of the cell's plan, so at the expansion length its trials
+    use, its first batch of colored rows answered through the oracle as
+    to_er_count answers it.  A batch holds at most 2^14 rows, so the
+    calibration costs at most 2^14 * (2^k - 1) calls, even where a whole
+    curve point costs ~1e8."""
+    p = reduction_plan(n, k, s, c, params.gamma).primes[0]
     field = PrimeFieldCtx(p)
     layout = _KPLayout(n, k, s)
     oracle = AverageCaseOracle()
-    x = WeightedKPartiteInput(layout.index,
-                              field.rand_vec(layout.index.size, rng), field)
+    point = field.rand_vec(layout.index.size, rng)[None]
 
     def er_eval(rows):
         _kp_counts_batch(rows.astype(np.uint8), layout, oracle, c, rng,
@@ -65,7 +65,8 @@ def calibration_point(s, k, n, c, params, rng):
 
     t1 = time.monotonic()
     try:
-        weighted_to_unweighted(x, c, params.gamma, er_eval, rng)
+        weighted_to_unweighted_batch(point, layout.index, field, c,
+                                     params.gamma, er_eval, rng)
     except _FirstBatchDone:
         pass
     return oracle.calls / (time.monotonic() - t1)
@@ -83,20 +84,22 @@ def test_ac1_end_to_end_counting():
     grid.sort(key=lambda g: predicted_oracle_calls(g[2], g[1], g[0], g[3], params))
 
     t0 = time.monotonic()
-    # calls/s per (s, k): from the trials run on it, or from one calibration
-    # point until a trial has run; the (s, k) paths differ several-fold
+    # calls/s per (s, k, n): from the trials run on it, or from one
+    # calibration point until a trial has run; the kernel's cost per call
+    # differs several-fold between (s, k) paths, and about 4x between
+    # n = 6 and n = 8 at (3, 4)
     speed, done = {}, {}
     mismatches, rates, skipped = [], {}, []
     for combo_id, (s, k, n, c) in enumerate(grid):
         per_trial = predicted_oracle_calls(n, k, s, c, params)
-        if (s, k) not in speed:
-            speed[(s, k)] = calibration_point(s, k, n, c, params,
-                                              trial_rng(1500, combo_id))
-        projected = n_inputs * per_trial / speed[(s, k)]
+        if (s, k, n) not in speed:
+            speed[(s, k, n)] = calibration_point(s, k, n, c, params,
+                                                 trial_rng(1500, combo_id))
+        projected = n_inputs * per_trial / speed[(s, k, n)]
         if time.monotonic() - t0 + projected > budget:
             skipped.append((s, k, n, c, per_trial, projected))
             continue
-        calls_secs = done.setdefault((s, k), [0, 0.0])
+        calls_secs = done.setdefault((s, k, n), [0, 0.0])
         successes = 0
         for i, g in enumerate(adversarial_suite(n, s, k, n_inputs,
                                                 trial_rng(1000, combo_id))):
@@ -113,7 +116,7 @@ def test_ac1_end_to_end_counting():
                     mismatches.append((s, k, n, c, i, rep.count, ref))
         rate = successes / n_inputs
         rates[(s, k, n, c)] = rate
-        speed[(s, k)] = calls_secs[0] / calls_secs[1]
+        speed[(s, k, n)] = calls_secs[0] / calls_secs[1]
 
     elapsed = time.monotonic() - t0
     agree_ok = not mismatches
@@ -128,8 +131,8 @@ def test_ac1_end_to_end_counting():
     assert complete_ok, (
         "criterion runtime bound is not attainable: the per-trial oracle-call "
         "count sum_p 12*C(k,s)*bits_p^C(k,s)*(2^k-1) is structural, and at the "
-        "throughput measured per (s,k) ("
-        + ", ".join(f"{sk}: {v:.2e} calls/s" for sk, v in speed.items())
+        "throughput measured per (s,k,n) ("
+        + ", ".join(f"{skn}: {v:.2e} calls/s" for skn, v in speed.items())
         + f") the following combinations cannot finish inside {budget:.0f}s: "
         + "; ".join(
             f"(s={s},k={k},n={n},c={c}): {pt:.2e} calls/trial, "

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from erclique.cli import main
 from erclique.hypergraph import Hypergraph, write_hypergraph
 
@@ -164,6 +166,17 @@ def test_workers_preserve_order(tmp_path):
                 "--trials", 6, "--workers", 1, "--seed", 4,
                 "--out-dir", tmp_path, "--output", "w1.csv"]) == 0
     assert (tmp_path / "w.csv").read_bytes() == (tmp_path / "w1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cmd", ["reduce", "parity-reduce"])
+def test_reduce_csv_independent_of_workers(tmp_path, cmd):
+    # trials running in threads share the memoised plan and nothing else
+    for workers in (1, 2):
+        assert run([cmd, "--n", 5, "--c", "0.5", "--s", 2, "--k", 3,
+                    "--trials", 4, "-R", 1, "--gamma", "0.2", "--oracle", "flip",
+                    "--flip-rate", "auto", "--workers", workers, "--seed", 6,
+                    "--out-dir", tmp_path, "--output", f"w{workers}.csv"]) == 0
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 def test_bench_smoke(tmp_path):

@@ -11,8 +11,7 @@ from erclique.fields import PrimeFieldCtx, find_normal_basis
 from erclique.hypergraph import KPartiteHypergraph, edge_index
 from erclique.polynomial import (WeightedKPartiteInput, eval_clique_poly,
                                  ext_to_base_reduce, pipeline_expansion_spec,
-                                 random_self_reduce,
-                                 recombine_expansions, weighted_to_unweighted,
+                                 random_self_reduce, recombine_expansions,
                                  weighted_to_unweighted_batch)
 
 F13 = PrimeFieldCtx(13)
@@ -97,19 +96,29 @@ def test_curve_restriction_degree_bound():
             assert _lagrange_value(base, t, p) == at(t)
 
 
+def per_row(f, x):
+    """random_self_reduce's batched eval_at from a per-point function: f
+    sees each curve point, in order, as an input over x's field."""
+    def eval_at(points):
+        return [f(WeightedKPartiteInput(x.index, row, x.field)) for row in points]
+    return eval_at
+
+
 def test_random_self_reduce_exact_oracle():
     idx = edge_index(2, 4, 2)
     rng = np.random.default_rng(3)
     for _ in range(100):
         vals = rng.integers(0, 73, idx.size)
         x = WeightedKPartiteInput(idx, vals, F73)
-        assert random_self_reduce(x, eval_clique_poly, rng) == eval_clique_poly(x)
+        assert random_self_reduce(x, per_row(eval_clique_poly, x), rng) == \
+            eval_clique_poly(x)
 
 
 def test_random_self_reduce_zero_input():
     idx = edge_index(2, 4, 2)
     x = WeightedKPartiteInput(idx, np.zeros(idx.size, dtype=np.int64), F73)
-    assert random_self_reduce(x, eval_clique_poly, np.random.default_rng(0)) == 0
+    assert random_self_reduce(x, per_row(eval_clique_poly, x),
+                              np.random.default_rng(0)) == 0
 
 
 def test_random_self_reduce_corruption_bound():
@@ -132,7 +141,8 @@ def test_random_self_reduce_corruption_bound():
     for _ in range(5):
         vals = rng.integers(0, 73, idx.size)
         x = WeightedKPartiteInput(idx, vals, F73)
-        assert random_self_reduce(x, corrupting(29), rng) == eval_clique_poly(x)
+        assert random_self_reduce(x, per_row(corrupting(29), x), rng) == \
+            eval_clique_poly(x)
 
 
 def test_random_self_reduce_success_rate():
@@ -143,9 +153,22 @@ def test_random_self_reduce_success_rate():
     for _ in range(1000):
         vals = rng.integers(0, 73, idx.size)
         x = WeightedKPartiteInput(idx, vals, F73)
-        ok += random_self_reduce(x, eval_clique_poly, rng) == eval_clique_poly(x)
+        ok += random_self_reduce(x, per_row(eval_clique_poly, x), rng) == \
+            eval_clique_poly(x)
     assert ok >= 990
     assert ok == 1000
+
+
+@pytest.mark.parametrize("p,t", [(2, 6), (3, 3)])
+def test_random_self_reduce_extension_field(p, t):
+    # the whole curve is built at once with the field's vector operations
+    idx = edge_index(2, 2, 2)
+    ctx = find_normal_basis(p, t)
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        x = WeightedKPartiteInput(idx, rng.integers(0, ctx.order, idx.size), ctx)
+        assert random_self_reduce(x, per_row(eval_clique_poly, x), rng) == \
+            eval_clique_poly(x)
 
 
 def test_random_self_reduce_needs_large_field():
@@ -153,7 +176,7 @@ def test_random_self_reduce_needs_large_field():
     x = WeightedKPartiteInput(idx, np.zeros(idx.size, dtype=np.int64),
                               PrimeFieldCtx(13))
     with pytest.raises(ValueError):
-        random_self_reduce(x, eval_clique_poly, np.random.default_rng(0))
+        random_self_reduce(x, per_row(eval_clique_poly, x), np.random.default_rng(0))
 
 
 def exact_er_eval(idx, field):
@@ -202,8 +225,9 @@ def test_weighted_to_unweighted_exact():
     for _ in range(100):
         vals = rng.integers(0, 13, idx.size)
         x = WeightedKPartiteInput(idx, vals, F13)
-        got = weighted_to_unweighted(x, 0.5, 0.02, exact_er_eval(idx, F13), rng)
-        assert got == eval_clique_poly(x)
+        got = weighted_to_unweighted_batch(vals[None], idx, F13, 0.5, 0.02,
+                                           exact_er_eval(idx, F13), rng)
+        assert got.tolist() == [eval_clique_poly(x)]
 
 
 def test_weighted_to_unweighted_batch_matches_single_semantics():
@@ -223,8 +247,9 @@ def test_weighted_to_unweighted_mod2():
     for _ in range(30):
         vals = rng.integers(0, 2, idx.size)
         x = WeightedKPartiteInput(idx, vals, f2)
-        got = weighted_to_unweighted(x, 0.3, 0.1, exact_er_eval(idx, f2), rng)
-        assert got == eval_clique_poly(x)
+        got = weighted_to_unweighted_batch(vals[None], idx, f2, 0.3, 0.1,
+                                           exact_er_eval(idx, f2), rng)
+        assert got.tolist() == [eval_clique_poly(x)]
 
 
 def test_pipeline_spec_certificate():

@@ -1,20 +1,26 @@
 import math
+from itertools import combinations, takewhile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from erclique.cliques import (brute_force_count, brute_force_count_kpartite,
                               parity_count)
+from erclique.expansion import required_t_mod_2
+from erclique.fields import primes_greater_than, select_primes
 from erclique.hypergraph import (Hypergraph, adversarial_suite,
                                  blow_up_k_partite, sample_er,
                                  sample_er_kpartite)
+from erclique.polynomial import pipeline_expansion_spec
 from erclique.reduction import (AverageCaseOracle, ReductionParams,
-                                compute_slowdowns, decide_via_parity,
-                                flip_rate_for_tolerance,
+                                ReductionPlan, compute_slowdowns,
+                                decide_via_parity, flip_rate_for_tolerance,
                                 kpartite_to_general_count,
                                 kpartite_to_general_parity,
-                                pipeline_bit_counts, predicted_oracle_calls,
-                                to_er_count, to_er_parity)
+                                predicted_oracle_calls, predicted_parity_calls,
+                                reduction_plan, to_er_count, to_er_parity)
 
 FAST = ReductionParams(repetitions=1, gamma=0.2)
 
@@ -139,7 +145,7 @@ def test_to_er_count_k6():
                       0.5, FAST, np.random.default_rng(1), reference=20)
     assert rep.count == 20
     assert rep.succeeded
-    assert rep.residues.primes == (37, 41)
+    assert rep.residues.primes == (41,)
     assert [rep.count % p for p in rep.residues.primes] == list(rep.residues.residues)
 
 
@@ -170,8 +176,85 @@ def test_to_er_count_call_accounting():
     want = sum(params.repetitions * 12 * d * b ** d * (2 ** 3 - 1)
                for b in rep.prime_bits.values())
     assert rep.oracle_calls == want == oracle.calls
-    assert rep.prime_bits == pipeline_bit_counts(6, 3, 2, 0.5, params.gamma)
+    assert rep.prime_bits == dict(reduction_plan(6, 3, 2, 0.5, params.gamma).prime_bits)
     assert want == predicted_oracle_calls(6, 3, 2, 0.5, params)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.4])
+def test_to_er_parity_call_accounting(c):
+    # R * 12D * kappa^D * (2^k - 1) calls, times bits2^D when c != 1/2
+    g = sample_er(3, 0.5, 2, 8)
+    params = ReductionParams(repetitions=1, gamma=0.5)
+    oracle = AverageCaseOracle(counter=parity_count, seed=4)
+    rep = to_er_parity(g, 3, oracle, c, params, np.random.default_rng(4))
+    d = math.comb(3, 2)
+    kappa = (12 * d - 1).bit_length()
+    bits2 = 1 if c == 0.5 else required_t_mod_2(c, params.gamma / (d * 3 ** 2)) + 1
+    want = params.repetitions * 12 * d * (kappa * bits2) ** d * (2 ** 3 - 1)
+    assert rep.oracle_calls == oracle.calls == want
+    assert want == predicted_parity_calls(3, 3, 2, c, params)
+
+
+@st.composite
+def small_cells(draw):
+    """(n, k, s, c, pipeline) with few predicted calls per repetition."""
+    s, k = draw(st.sampled_from([(2, 2), (3, 3), (2, 3)]))
+    return (draw(st.integers(k, k + 1)), k, s, draw(st.sampled_from([0.5, 0.4])),
+            draw(st.sampled_from(["count", "parity"])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_cells(), st.integers(0, 2 ** 32 - 1))
+def test_predicted_calls_equal_oracle_calls(cell, seed):
+    n, k, s, c, pipeline = cell
+    params = ReductionParams(repetitions=1, gamma=0.5)
+    predict = predicted_oracle_calls if pipeline == "count" else predicted_parity_calls
+    want = predict(n, k, s, c, params)
+    assume(want <= 2_000_000)
+    g = sample_er(n, 0.5, s, seed)
+    rng = np.random.default_rng(seed)
+    if pipeline == "count":
+        oracle = AverageCaseOracle(seed=seed)
+        rep = to_er_count(g, k, oracle, c, params, rng)
+        assert rep.count == brute_force_count(g, k)
+    else:
+        oracle = AverageCaseOracle(counter=parity_count, seed=seed)
+        rep = to_er_parity(g, k, oracle, c, params, rng)
+        assert rep.parity == parity_count(g, k)
+    assert rep.oracle_calls == oracle.calls == want
+
+
+def exhaustive_primes(n, k, s, c, gamma):
+    """The plan's prime set by brute force: every subset of the plan's
+    candidates small enough to be minimal, ranked by (sum_p T_p^D, size,
+    -product)."""
+    d = math.comb(k, s)
+    top = max(72 * d, select_primes(n, k, s)[-1])
+    cands = list(takewhile(lambda p: p <= top, primes_greater_than(12 * d)))
+    bits = {p: pipeline_expansion_spec(p, c, d * n ** s, gamma).n_bits for p in cands}
+    target = math.comb(n, k)
+    # any `size` candidates multiply past the target, so a larger set has a
+    # cheaper subset that does too
+    size = next(j for j in range(1, len(cands) + 1) if cands[0] ** j > target)
+    ranked = [(sum(bits[p] ** d for p in subset), r, -math.prod(subset), subset)
+              for r in range(1, size + 1) for subset in combinations(cands, r)
+              if math.prod(subset) > target]
+    return min(ranked)[-1]
+
+
+WORKLOAD_CELLS = [(6, 3, 2, 0.5), (5, 3, 3, 0.5), (7, 3, 2, 0.5), (6, 3, 2, 0.4)]
+AC1_CELLS = [(n, k, s, c) for s, k in [(2, 3), (2, 4), (3, 4)]
+             for n in (6, 8) for c in (0.3, 0.5)]
+
+
+@pytest.mark.parametrize("n,k,s,c", WORKLOAD_CELLS + AC1_CELLS)
+def test_plan_primes_match_exhaustive_search(n, k, s, c):
+    plan = ReductionPlan(n, k, s, c, 0.2)
+    d = math.comb(k, s)
+    assert all(p > 12 * d for p in plan.primes)
+    assert math.prod(plan.primes) > math.comb(n, k)
+    assert plan.primes == exhaustive_primes(n, k, s, c, 0.2)
+    assert ReductionPlan(n, k, s, c, 0.2).prime_bits == plan.prime_bits
 
 
 def test_to_er_count_majority_margin_recorded():
@@ -190,6 +273,21 @@ def test_to_er_count_flip_oracle_failure_observable():
                       reference=20)
     assert not rep.succeeded
     assert rep.injected_errors > 0
+    # every failed decode is recorded with its prime, repetition and cause
+    assert rep.failed_primes == rep.residues.primes
+    assert [(p, r) for p, r, _ in rep.decode_failures] == \
+        [(p, 0) for p in rep.failed_primes]
+    assert all(msg for _, _, msg in rep.decode_failures)
+    assert rep.to_json()["decode_failures"] == [
+        {"prime": p, "repetition": r, "error": msg}
+        for p, r, msg in rep.decode_failures]
+    po = AverageCaseOracle(counter=parity_count, error="flip", rate=0.5, seed=6)
+    prep = to_er_parity(g, 3, po, 0.5, ReductionParams(repetitions=2, gamma=0.2),
+                        np.random.default_rng(6), reference=0)
+    assert not prep.succeeded and prep.votes == ()
+    assert [r for r, _ in prep.decode_failures] == [0, 1]
+    assert prep.to_json()["decode_failures"] == [
+        {"repetition": r, "error": msg} for r, msg in prep.decode_failures]
 
 
 def test_to_er_parity_k5():
@@ -260,7 +358,7 @@ def test_slowdown_formulas():
 
 def test_flip_rate_for_tolerance():
     rate = flip_rate_for_tolerance(6, 3, 2, 0.5, gamma=0.2)
-    bits = max(pipeline_bit_counts(6, 3, 2, 0.5, 0.2).values())
+    bits = max(t for _, t in reduction_plan(6, 3, 2, 0.5, 0.2).prime_bits)
     assert rate == 1.0 / (4 * bits ** 3 * 2 ** 3)
 
 
