@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cliques, expansion, reduction
+from .fields import is_prime
 from .hypergraph import (FormatError, adversarial_suite, read_hypergraph,
                          sample_er, sample_er_kpartite, write_hypergraph,
                          write_kpartite)
@@ -79,6 +80,8 @@ def _writer(fh):
 def _trial_inputs(args) -> list:
     """One hypergraph per trial: a file input is reused, generated inputs are
     drawn per trial (adversarial suite first when requested)."""
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.input:
         g = read_hypergraph(args.input)
         return [g] * args.trials
@@ -207,13 +210,23 @@ def _make_oracle(args, i, parity=False):
 def cmd_reduce(args, parity=False):
     if args.k is None or args.c is None:
         raise ConfigError("reduce needs --k and --c")
+    if args.repetitions < 1:
+        raise ConfigError(f"--repetitions must be >= 1, got {args.repetitions}")
+    if not args.gamma > 0:
+        raise ConfigError(f"--gamma must be > 0, got {args.gamma}")
     inputs = _trial_inputs(args)
     if isinstance(args.flip_rate, str):
         if args.flip_rate == "auto":
             args.flip_rate = reduction.flip_rate_for_tolerance(
                 inputs[0].n, args.k, inputs[0].s, args.c, args.gamma)
         else:
-            args.flip_rate = float(args.flip_rate)
+            try:
+                args.flip_rate = float(args.flip_rate)
+            except ValueError:
+                raise ConfigError(f"--flip-rate must be a number or 'auto', "
+                                  f"got {args.flip_rate!r}") from None
+    if args.flip_rate is not None and not 0 <= args.flip_rate <= 1:
+        raise ConfigError(f"--flip-rate must be in [0,1], got {args.flip_rate}")
     params = reduction.ReductionParams(repetitions=args.repetitions,
                                        gamma=args.gamma)
     out_dir = _out_dir(args)
@@ -300,9 +313,13 @@ def cmd_verify_expansion(args):
         parts = spec_str.split(",")
         if len(parts) != 3:
             raise ConfigError(f"grid entry {spec_str!r} is not 'p,c,eps'")
-        p, c, eps = int(parts[0]), float(parts[1]), float(parts[2])
-        if eps <= 0 or not 0 < c <= 0.5:
-            raise ConfigError(f"invalid grid entry {spec_str!r}: need eps > 0, c in (0,0.5]")
+        try:
+            p, c, eps = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ConfigError(f"grid entry {spec_str!r} is not 'p,c,eps'") from None
+        if p == 2 or not is_prime(p) or not eps > 0 or not 0 < c <= 0.5:
+            raise ConfigError(f"invalid grid entry {spec_str!r}: need p an odd prime, "
+                              "eps > 0, c in (0,0.5]")
         triples.append((p, c, eps))
     fh, path = _open_csv(args, "verify_expansion.csv")
     w = _writer(fh)

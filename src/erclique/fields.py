@@ -1,6 +1,10 @@
 """Prime-field and extension-field arithmetic, prime selection, Chinese
 remaindering, and a Berlekamp-Welch decoder.
 
+One Gauss-Jordan elimination, written once over the field contexts' vector
+operations, serves both the decoder (over any field) and the inverse of the
+normal-basis change of basis (over F_p).
+
 Field elements are plain Python ints.  Prime-field elements live in
 ``[0, p)``.  Extension-field elements are packed ints: the element with
 power-basis coefficients ``(a_0, ..., a_{t-1})`` over F_p is encoded as
@@ -118,9 +122,6 @@ class PrimeFieldCtx:
     def sub(self, a, b):
         return (a - b) % self.p
 
-    def neg(self, a):
-        return (-a) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -146,6 +147,10 @@ class PrimeFieldCtx:
     def sum_vec(self, elems) -> np.ndarray:
         """Field sum of an array of elements along its last axis."""
         return np.asarray(elems, dtype=np.int64).sum(axis=-1) % self.p
+
+    def sub_vec(self, a, b) -> np.ndarray:
+        """Elementwise a - b of (broadcast) arrays of field elements."""
+        return (np.asarray(a, dtype=np.int64) - b) % self.p
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +331,7 @@ class ExtFieldCtx:
         self._frob_beta = None
         self._mul_table = None
         self._decompose_table = None
+        self._inv_table = None
 
     # -- packing ---------------------------------------------------------
     def pack(self, coeffs) -> int:
@@ -348,11 +354,6 @@ class ExtFieldCtx:
             return a ^ b
         return self.pack(x - y for x, y in zip(self.unpack(a), self.unpack(b)))
 
-    def neg(self, a):
-        if self.char == 2:
-            return a
-        return self.pack(-x for x in self.unpack(a))
-
     def mul(self, a, b):
         table = self._tables()[0] if self.order <= _MUL_TABLE_LIMIT else None
         if table is not None:
@@ -374,6 +375,8 @@ class ExtFieldCtx:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
+        if self.order <= _MUL_TABLE_LIMIT:
+            return int(self._tables()[2][a])
         return self.pow(a, self.order - 2)
 
     def frobenius(self, a):
@@ -434,7 +437,8 @@ class ExtFieldCtx:
                 coords[x] = (inv @ np.array(self.unpack(x), dtype=np.int64)) % p
             self._mul_table = table
             self._decompose_table = coords
-        return self._mul_table, self._decompose_table
+            self._inv_table = np.argmax(table == 1, axis=1)  # entry 0 unused
+        return self._mul_table, self._decompose_table, self._inv_table
 
     def mul_vec(self, a, b) -> np.ndarray:
         """Elementwise a * b of (broadcast) arrays of packed elements."""
@@ -453,6 +457,16 @@ class ExtFieldCtx:
         coords = elems[..., None] // place % p
         return (coords.sum(axis=-2) % p) @ place
 
+    def sub_vec(self, a, b) -> np.ndarray:
+        """Elementwise a - b of (broadcast) arrays of packed elements: XOR in
+        characteristic 2, otherwise power-basis coordinates subtracted mod p."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.char == 2:
+            return a ^ b
+        p = self.base.p
+        place = p ** np.arange(self.t, dtype=np.int64)
+        return (a[..., None] // place - b[..., None] // place) % p @ place
+
     def decompose_vec(self, vec: np.ndarray) -> np.ndarray:
         """(m, t) matrix of normal-basis coordinates of packed elements."""
         if self.order <= _MUL_TABLE_LIMIT:
@@ -463,25 +477,44 @@ class ExtFieldCtx:
         return f"ExtFieldCtx(p={self.base.p}, t={self.t}, beta={self.beta})"
 
 
-def _matrix_inverse_mod_p(mat, p):
-    """Inverse of a square integer matrix mod p, or None if singular."""
-    t = len(mat)
-    aug = [[mat[r][c] % p for c in range(t)] + [1 if c == r else 0 for c in range(t)]
-           for r in range(t)]
-    row = 0
-    for col in range(t):
-        piv = next((r for r in range(row, t) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, p)
-        aug[row] = [(v * inv) % p for v in aug[row]]
-        for r in range(t):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[row])]
-        row += 1
-    return [r[t:] for r in aug]
+# ---------------------------------------------------------------------------
+# linear algebra
+# ---------------------------------------------------------------------------
+
+def _solve(ctx, aug, n_unknowns: int):
+    """Gauss-Jordan over the field ctx on the augmented matrix [A | B], A
+    being its first n_unknowns columns: some X with A @ X = B (free
+    variables 0), or None when the system is inconsistent.
+
+    X is read off the reduced row echelon form, which does not depend on
+    the pivot rows chosen.  Row operations go through the context's vector
+    arithmetic; only the pivots are inverted one by one.
+    """
+    a = np.array(aug, dtype=np.int64)
+    pivots = []
+    for c in range(n_unknowns):
+        r = len(pivots)
+        if r == len(a):
+            break
+        if not a[r, c]:
+            nz = np.flatnonzero(a[r:, c])
+            if not nz.size:
+                continue
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        # clear column c in every other row; row r's factor 1 - 1/pivot
+        # scales it to a unit pivot in the same update.  Columns left of c
+        # are zero in row r, so they do not change.
+        inv = ctx.inv(int(a[r, c]))
+        factors = ctx.mul_vec(a[:, c], inv)
+        factors[r] = ctx.sub(ctx.one, inv)
+        a[:, c:] = ctx.sub_vec(a[:, c:], ctx.mul_vec(factors[:, None], a[r, c:]))
+        pivots.append(c)
+    # rows past the last pivot have A-part zero: they must have B-part zero
+    if a[len(pivots):, n_unknowns:].any():
+        return None
+    x = np.zeros((n_unknowns, a.shape[1] - n_unknowns), dtype=np.int64)
+    x[pivots] = a[:len(pivots), n_unknowns:]
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -505,7 +538,8 @@ def find_normal_basis(p: int, t: int) -> ExtFieldCtx:
         # column i holds the power-basis coordinates of beta^(p^i)
         cols = [_ext_unpack(f, p, t) for f in frobs]
         mat = [[cols[i][r] for i in range(t)] for r in range(t)]
-        inv = _matrix_inverse_mod_p(mat, p)
+        # mat @ X = I is solvable exactly when mat is invertible
+        inv = _solve(base, np.concatenate([mat, np.eye(t, dtype=np.int64)], axis=1), t)
         if inv is not None:
             return ExtFieldCtx(base, t, modulus, _ext_unpack(cand, p, t), mat, inv)
     raise RuntimeError(f"no normal basis generator found in F_{p}^{t}; "
@@ -520,103 +554,6 @@ def _as_field(field):
     if isinstance(field, int):
         return PrimeFieldCtx(field)
     return field
-
-
-def _solve_mod_p(mat: np.ndarray, rhs: np.ndarray, p: int):
-    """Any solution of mat @ x = rhs over F_p (free variables 0), or None."""
-    rows, cols = mat.shape
-    a = np.concatenate([mat % p, (rhs % p)[:, None]], axis=1).astype(np.int64)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        others = np.nonzero(a[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            a[others] = (a[others] - np.outer(a[others, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    tail = a[r:]
-    if tail.size and np.any((tail[:, :cols] == 0).all(axis=1) & (tail[:, cols] != 0)):
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = a[i, cols]
-    return x
-
-
-def _solve_generic(rows, ctx):
-    """Gauss-Jordan over an arbitrary field ctx; rows are augmented."""
-    m = len(rows)
-    cols = len(rows[0]) - 1
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, m) if rows[i][c] != ctx.zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][c])
-        rows[r] = [ctx.mul(v, inv) for v in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != ctx.zero:
-                f = rows[i][c]
-                rows[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if all(v == ctx.zero for v in rows[i][:cols]) and rows[i][cols] != ctx.zero:
-            return None
-    x = [ctx.zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][cols]
-    return x
-
-
-def _poly_divmod_ctx(num, den, ctx):
-    """Polynomial division over ctx (den nonzero). Returns (quotient, remainder)."""
-    num = list(num)
-    den = list(den)
-    while len(den) > 1 and den[-1] == ctx.zero:
-        den.pop()
-    lead_inv = ctx.inv(den[-1])
-    q = [ctx.zero] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den):
-        if num[-1] == ctx.zero:
-            num.pop()
-            continue
-        shift = len(num) - len(den)
-        coef = ctx.mul(num[-1], lead_inv)
-        q[shift] = coef
-        for i, d in enumerate(den):
-            num[shift + i] = ctx.sub(num[shift + i], ctx.mul(coef, d))
-        num.pop()
-    return q, _poly_trim_ctx(num, ctx)
-
-
-def _poly_trim_ctx(a, ctx):
-    i = len(a)
-    while i > 0 and a[i - 1] == ctx.zero:
-        i -= 1
-    return a[:i]
-
-
-def _poly_eval_ctx(coeffs, x, ctx):
-    acc = ctx.zero
-    for c in reversed(coeffs):
-        acc = ctx.add(ctx.mul(acc, x), c)
-    return acc
 
 
 def berlekamp_welch_decode(points, deg_bound: int, field) -> int:
@@ -635,45 +572,33 @@ def berlekamp_welch_decode(points, deg_bound: int, field) -> int:
     if e < 0:
         raise ValueError(f"need at least deg_bound+1={d + 1} points, got {m}")
     ts = [ctx.reduce(t) for t, _ in points]
-    if len(set(ts)) != m or any(t == ctx.zero for t in ts):
+    if len(set(ts)) != m or ctx.zero in ts:
         raise ValueError("evaluation points must be distinct and nonzero")
-    ys = [ctx.reduce(y) for _, y in points]
+    ts = np.array(ts, dtype=np.int64)
+    ys = np.array([ctx.reduce(y) for _, y in points], dtype=np.int64)
 
-    nq = d + e + 1  # Q coefficients; E is monic of degree e with e unknowns
-    if isinstance(ctx, PrimeFieldCtx):
-        p = ctx.p
-        tarr = np.array(ts, dtype=np.int64)
-        yarr = np.array(ys, dtype=np.int64)
-        tpow = np.ones((m, max(nq, e + 1)), dtype=np.int64)
-        for j in range(1, tpow.shape[1]):
-            tpow[:, j] = tpow[:, j - 1] * tarr % p
-        mat = np.concatenate([tpow[:, :nq], (-yarr[:, None] * tpow[:, :e]) % p],
-                             axis=1)
-        rhs = yarr * tpow[:, e] % p
-        sol = _solve_mod_p(mat, rhs, p)
-        if sol is None:
-            raise DecodeFailure("error-locator system inconsistent")
-        q_coeffs = [int(v) for v in sol[:nq]]
-        e_coeffs = [int(v) for v in sol[nq:]] + [1]
-    else:
-        rows = []
-        for t, y in zip(ts, ys):
-            tp = [ctx.one]
-            for _ in range(max(nq, e + 1) - 1):
-                tp.append(ctx.mul(tp[-1], t))
-            row = tp[:nq] + [ctx.neg(ctx.mul(y, tp[j])) for j in range(e)]
-            row.append(ctx.mul(y, tp[e]))
-            rows.append(row)
-        sol = _solve_generic(rows, ctx)
-        if sol is None:
-            raise DecodeFailure("error-locator system inconsistent")
-        q_coeffs = sol[:nq]
-        e_coeffs = sol[nq:] + [ctx.one]
+    # Q has d + e + 1 unknown coefficients; E is monic of degree e with e
+    # unknowns.  Row i of the system is Q(t_i) - y_i (E(t_i) - t_i^e) = y_i t_i^e.
+    nq = d + e + 1
+    tpow = np.ones((m, nq), dtype=np.int64)
+    for j in range(1, nq):
+        tpow[:, j] = ctx.mul_vec(tpow[:, j - 1], ts)
+    ytpow = ctx.mul_vec(ys[:, None], tpow[:, :e + 1])
+    system = np.concatenate([tpow, ctx.sub_vec(0, ytpow[:, :e]), ytpow[:, e:]], axis=1)
+    sol = _solve(ctx, system, nq + e)
+    if sol is None:
+        raise DecodeFailure("error-locator system inconsistent")
+    q_coeffs, e_coeffs = sol[:nq, 0], np.append(sol[nq:, 0], ctx.one)
 
-    h, rem = _poly_divmod_ctx(q_coeffs, e_coeffs, ctx)
-    if rem:
+    # synthetic division Q = h E + rem by the monic E, from the top down
+    h = np.empty(d + 1, dtype=np.int64)
+    for i in range(d, -1, -1):
+        h[i] = q_coeffs[i + e]
+        q_coeffs[i:i + e + 1] = ctx.sub_vec(q_coeffs[i:i + e + 1],
+                                            ctx.mul_vec(h[i], e_coeffs))
+    if q_coeffs[:e].any():
         raise DecodeFailure("locator does not divide numerator")
-    bad = sum(1 for t, y in zip(ts, ys) if _poly_eval_ctx(h, t, ctx) != y)
+    bad = int(np.count_nonzero(ctx.sum_vec(ctx.mul_vec(tpow[:, :d + 1], h)) != ys))
     if bad > e:
         raise DecodeFailure(f"{bad} disagreements exceed corruption bound {e}")
-    return h[0] if h else ctx.zero
+    return int(h[0])

@@ -334,6 +334,13 @@ class _KPLayout:
         return table[order], starts, members
 
 
+@lru_cache(maxsize=None)
+def _kp_layout(n: int, k: int, s: int) -> _KPLayout:
+    """Memoised: every reduction call on one (n, k, s) shares the layout and
+    its kernel table, which cost more to build than a small trial."""
+    return _KPLayout(n, k, s)
+
+
 def _subset_clique_counts(bits: np.ndarray, within: np.ndarray,
                           layout: _KPLayout, parity: bool) -> np.ndarray:
     """k-clique counts (or parities) of every part subset's induced
@@ -393,7 +400,7 @@ def kpartite_to_general_count(g: KPartiteHypergraph, oracle: AverageCaseOracle,
     label spectrum by inclusion-exclusion.  Exact whenever every one of the
     2^k - 1 oracle answers is exact."""
     rng = as_rng(rng)
-    layout = _KPLayout(g.n, g.k, g.s)
+    layout = _kp_layout(g.n, g.k, g.s)
     bits = g.to_bits(layout.index)[None, :].astype(np.uint8)
     return int(_kp_counts_batch(bits, layout, oracle, c, rng, parity=False)[0])
 
@@ -402,7 +409,7 @@ def kpartite_to_general_parity(g: KPartiteHypergraph, oracle: AverageCaseOracle,
                                c: float, rng=None) -> int:
     """Parity variant of :func:`kpartite_to_general_count`."""
     rng = as_rng(rng)
-    layout = _KPLayout(g.n, g.k, g.s)
+    layout = _kp_layout(g.n, g.k, g.s)
     bits = g.to_bits(layout.index)[None, :].astype(np.uint8)
     return int(_kp_counts_batch(bits, layout, oracle, c, rng, parity=True)[0])
 
@@ -692,7 +699,7 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
         raise ValueError("c must be in (0,1)")
     n, s = g.n, g.s
     plan = reduction_plan(n, k, s, c, params.gamma)
-    layout = _KPLayout(n, k, s)
+    layout = _kp_layout(n, k, s)
     xbits = blow_up_k_partite(g, k).to_bits(layout.index)
     calls_before = oracle.calls
     injected_before = oracle.injected
@@ -763,7 +770,7 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     plan = reduction_plan(n, k, s, c, params.gamma)
     ctx = find_normal_basis(2, plan.kappa)
     f2 = PrimeFieldCtx(2)
-    layout = _KPLayout(n, k, s)
+    layout = _kp_layout(n, k, s)
     xbits = blow_up_k_partite(g, k).to_bits(layout.index)
     x = WeightedKPartiteInput(layout.index, xbits, ctx)
     calls_before = oracle.calls

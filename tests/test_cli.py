@@ -65,11 +65,30 @@ def test_malformed_file_exit(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
-def test_invalid_config_ranges(tmp_path, capsys):
-    code = run(["count", "--n", 10, "--c", "1.5", "--s", 2, "--k", 3,
-                "--out-dir", tmp_path])
+REDUCE_ARGS = ["--n", 5, "--c", "0.5", "--s", 3, "--k", 3, "--gamma", "0.2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["count", "--n", 10, "--c", "1.5", "--s", 2, "--k", 3],
+                 "c must be", id="count-c"),
+    pytest.param(["reduce", *REDUCE_ARGS, "--trials", 0], "--trials", id="reduce-trials"),
+    pytest.param(["parity-reduce", *REDUCE_ARGS, "--trials", 0], "--trials",
+                 id="parity-trials"),
+    pytest.param(["reduce", *REDUCE_ARGS, "--oracle", "flip", "--flip-rate", "abc"],
+                 "--flip-rate", id="flip-rate-text"),
+    pytest.param(["reduce", *REDUCE_ARGS, "--gamma", 0], "--gamma", id="gamma-zero"),
+    pytest.param(["parity-reduce", *REDUCE_ARGS, "--gamma", "-0.1"], "--gamma",
+                 id="gamma-negative"),
+    pytest.param(["reduce", *REDUCE_ARGS, "-R", 0], "--repetitions", id="repetitions"),
+    pytest.param(["verify-expansion", "--grid", "4,0.5,0.1"], "odd prime", id="grid-p4"),
+    pytest.param(["verify-expansion", "--grid", "2,0.5,0.1"], "odd prime", id="grid-p2"),
+    pytest.param(["verify-expansion", "--grid", "1,0.5,0.1"], "odd prime", id="grid-p1"),
+])
+def test_invalid_config_ranges(tmp_path, capsys, argv, message):
+    code = run(argv + ["--out-dir", tmp_path])
     assert code == 2
-    assert "c must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_csv_determinism(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erclique.fields import (DecodeFailure, PrimeFieldCtx,
                              ResidueVector, berlekamp_welch_decode,
@@ -93,6 +95,8 @@ def test_vector_ops_match_scalar_ops(ctx):
     b = rng.integers(0, ctx.order, 7)
     assert ctx.mul_vec(a, b).tolist() == [[ctx.mul(int(x), int(y)) for x, y in zip(row, b)]
                                           for row in a]
+    assert ctx.sub_vec(a, b).tolist() == [[ctx.sub(int(x), int(y)) for x, y in zip(row, b)]
+                                          for row in a]
     sums = []
     for row in a:
         acc = ctx.zero
@@ -180,6 +184,13 @@ def test_bw_rejects_bad_points():
         berlekamp_welch_decode([(1, 1), (1, 2), (2, 3)], 0, 13)
 
 
+def _horner(ctx, coeffs, t):
+    acc = ctx.zero
+    for c in reversed(coeffs):
+        acc = ctx.add(ctx.mul(acc, t), c)
+    return acc
+
+
 def test_bw_extension_field():
     ctx = find_normal_basis(2, 6)
     rng = np.random.default_rng(3)
@@ -187,17 +198,32 @@ def test_bw_extension_field():
     e = (m - 2 * D - 1) // 2
     for _ in range(20):
         coeffs = [int(v) for v in rng.integers(0, 64, 2 * D + 1)]
-
-        def h(t):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = ctx.add(ctx.mul(acc, t), c)
-            return acc
-
-        pts = [[t, h(t)] for t in range(1, m + 1)]
+        pts = [[t, _horner(ctx, coeffs, t)] for t in range(1, m + 1)]
         for i in rng.permutation(m)[:e]:
             pts[i][1] ^= 1 + int(rng.integers(0, 62))
         assert berlekamp_welch_decode([tuple(q) for q in pts], 2 * D, ctx) == coeffs[0]
+
+
+@pytest.mark.parametrize("ctx,d,m", [
+    (PrimeFieldCtx(13), 2, 12), (PrimeFieldCtx(41), 6, 36), (PrimeFieldCtx(127), 6, 36),
+    (find_normal_basis(2, 6), 6, 36), (find_normal_basis(2, 10), 2, 12),
+    (find_normal_basis(3, 2), 2, 8),
+], ids=["F13", "F41", "F127", "GF(2^6)", "GF(2^10)", "GF(3^2)"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_bw_decodes_within_corruption_bound(ctx, d, m, data):
+    # any degree <= d polynomial, any m distinct nonzero points and up to
+    # e = (m - d - 1) // 2 corrupted values decode to h(0); GF(2^10) is above
+    # the lookup-table limit
+    e = (m - d - 1) // 2
+    coeffs = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=d + 1,
+                                max_size=d + 1))
+    ts = data.draw(st.lists(st.integers(1, ctx.order - 1), min_size=m, max_size=m,
+                            unique=True))
+    ys = [_horner(ctx, coeffs, t) for t in ts]
+    for i in data.draw(st.lists(st.integers(0, m - 1), max_size=e, unique=True)):
+        ys[i] = ctx.add(ys[i], data.draw(st.integers(1, ctx.order - 1)))
+    assert berlekamp_welch_decode(list(zip(ts, ys)), d, ctx) == coeffs[0]
 
 
 def test_prime_field_ctx():
