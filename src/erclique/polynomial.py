@@ -26,7 +26,10 @@ from math import comb
 
 import numpy as np
 
-from .expansion import (ExpansionSpec, bit_weights, min_t_for_tv,
+# min_t_for_tv is no longer called here, but perfbench/spans.py wraps it
+# under this module's name
+from .expansion import (ExpansionSpec, bit_weights, min_t_for_tv,  # noqa: F401
+                        query_tv_bound, reaches_every_residue,
                         required_t_mod_2, sample_expansion_mod_2_batch,
                         sample_expansion_mod_p_batch)
 from .fields import ExtFieldCtx, PrimeFieldCtx, berlekamp_welch_decode
@@ -188,20 +191,32 @@ def random_self_reduce(x: WeightedKPartiteInput, eval_at, rng=None):
 # weighted -> unweighted (binary expansion) over F_p
 # ---------------------------------------------------------------------------
 
+_MAX_T = 4096  # longest expansion the planner tries
+
+
 @lru_cache(maxsize=1024)
 def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> ExpansionSpec:
-    """Expansion length used by the reduction: the smallest t whose exact
-    distribution is within min(gamma/N, 1/(2p)) of uniform, so each of the
-    N entries adds at most gamma/N to the TV of a query to Erdos-Renyi.  The
-    exact certificate replaces the analytic length bound, which is loose by
-    enough to matter to the coloring fan-out.
+    """Expansion used by the reduction mod p: t + 1 bits of bias c, for the
+    smallest t that reaches every residue and whose certified per-query
+    bound (`query_tv_bound`) is at most gamma.
+
+    What is certified is the law of each oracle query, not of each entry:
+    a query reads one expansion bit of each of the N = n_edges entries of a
+    uniform curve point, and its law is within gamma of N independent
+    Ber(c) bits, the label-respecting edges of Erdos-Renyi.  A union bound
+    over the queries of a curve point then bounds the oracle's error.  At
+    c = 1/2 every expansion bit is exactly Ber(1/2), so t + 1 is the bit
+    length of p - 1.
 
     Memoised: every curve point of a prime asks for the same spec, and the
     frozen ExpansionSpec is safe to share."""
     c_eff = min(c, 1.0 - c)
-    target = min(gamma / n_edges, 1.0 / (2 * p))
-    t = min_t_for_tv(p, c, target)
-    return ExpansionSpec(p=p, c=c_eff, t=t, qs=(c,) * (t + 1))
+    # t + 1 bits take at most 2^(t+1) values, too few below this length
+    for t in range((p - 1).bit_length() - 1, _MAX_T + 1):
+        spec = ExpansionSpec(p=p, c=c_eff, t=t, qs=(c,) * (t + 1))
+        if reaches_every_residue(spec) and query_tv_bound(spec, n_edges) <= gamma:
+            return spec
+    raise ValueError(f"no t <= {_MAX_T} certifies gamma={gamma} for p={p}, c={c}")
 
 
 def pipeline_mod_2_t(c: float, n_edges: int, gamma: float) -> int:

@@ -34,6 +34,7 @@ from math import comb, log, prod
 import numpy as np
 
 from . import cliques
+from .expansion import query_tv_bound
 from .fields import (DecodeFailure, PrimeFieldCtx, ResidueVector, crt_combine,
                      find_normal_basis, primes_greater_than, select_primes)
 from .hypergraph import (Hypergraph, KPartiteHypergraph,
@@ -421,8 +422,13 @@ def kpartite_to_general_parity(g: KPartiteHypergraph, oracle: AverageCaseOracle,
 @dataclass
 class ReductionParams:
     """Knobs of the reduction: repetitions per prime (majority voted) and
-    gamma, the total variation budget of the expansions: the law of each
-    oracle query is within gamma of Erdos-Renyi."""
+    gamma, the total variation budget of the expansions.  What is
+    certified is the law of each single oracle query: its label-respecting
+    edges are within gamma of independent Ber(c) bits, and its within-part
+    edges are exactly Ber(c), so each query is within gamma of
+    Erdos-Renyi.  The counting pipeline certifies this per prime
+    (`ReductionPlan.query_tv`); a larger gamma allows shorter expansions
+    and so fewer oracle calls."""
 
     repetitions: int = 5
     gamma: float = 0.05
@@ -443,6 +449,8 @@ class ReductionReport:
     injected_errors: int
     succeeded: bool
     prime_bits: dict = field(default_factory=dict)
+    # prime -> certified bound on the TV of each query to Erdos-Renyi
+    query_tv: dict = field(default_factory=dict)
     vote_margins: dict = field(default_factory=dict)
     failed_primes: tuple = ()
     # (prime, repetition, message) of every repetition whose decode failed
@@ -457,6 +465,7 @@ class ReductionReport:
             "injected_errors": self.injected_errors,
             "succeeded": self.succeeded,
             "prime_bits": {str(p): b for p, b in self.prime_bits.items()},
+            "query_tv": {str(p): tv for p, tv in self.query_tv.items()},
             "vote_margins": {str(p): m for p, m in self.vote_margins.items()},
             "failed_primes": list(self.failed_primes),
             "decode_failures": [{"prime": p, "repetition": r, "error": msg}
@@ -556,8 +565,9 @@ def _fewest_call_primes(bits: dict, target: int, d: int) -> tuple:
 @dataclass(frozen=True)
 class ReductionPlan:
     """What the counting and parity pipelines fix before their first oracle
-    call, for one (n, k, s, c, gamma): their fields, expansion lengths and
-    oracle calls per repetition.  `reduction_plan` builds and memoises it.
+    call, for one (n, k, s, c, gamma): their fields, expansion lengths,
+    oracle calls per repetition and, for counting, the certified per-query
+    TV.  `reduction_plan` builds and memoises it.
 
     Counting works mod a set of primes, each above 12D (D = C(k,s)) so that
     the curve has 12D distinct nonzero points, and with product above
@@ -605,6 +615,16 @@ class ReductionPlan:
     def primes(self) -> tuple:
         return tuple(p for p, _ in self.prime_bits)
 
+    @cached_property
+    def query_tv(self) -> tuple:
+        """((p, bound), ...) in increasing p: for each counting prime, the
+        certified bound on the TV between the law of one oracle query and
+        Erdos-Renyi (`expansion.query_tv_bound`), at most gamma."""
+        return tuple(
+            (p, query_tv_bound(pipeline_expansion_spec(p, self.c, self.n_edges,
+                                                       self.gamma), self.n_edges))
+            for p in self.primes)
+
     @property
     def count_calls(self) -> int:
         """Oracle calls of one counting repetition when its decodes succeed:
@@ -643,7 +663,9 @@ def reduction_plan(n: int, k: int, s: int, c: float, gamma: float) -> ReductionP
 def flip_rate_for_tolerance(n: int, k: int, s: int, c: float,
                             gamma: float = 0.05) -> float:
     """Oracle error rate 1 / (4 t^D 2^k) with t the largest per-prime
-    expansion bit count used by the pipeline."""
+    expansion bit count used by the pipeline.  The rate rises as t falls:
+    a curve point costs t^D (2^k - 1) oracle calls, so the expected number
+    of errors per curve point stays below 1/4."""
     plan = reduction_plan(n, k, s, c, gamma)
     return 1.0 / (4 * max(t for _, t in plan.prime_bits) ** plan.d * 2 ** k)
 
@@ -741,6 +763,7 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
         oracle_calls=oracle.calls - calls_before,
         injected_errors=oracle.injected - injected_before,
         succeeded=succeeded, prime_bits=dict(plan.prime_bits),
+        query_tv=dict(plan.query_tv),
         vote_margins=margins, failed_primes=tuple(failed),
         decode_failures=tuple(failures))
 

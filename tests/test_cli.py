@@ -113,6 +113,8 @@ def test_reduce_exact(tmp_path):
     rep = json.loads((tmp_path / "reduce_trial0000.json").read_text())
     assert rep["succeeded"] is True
     assert rep["count"] == int(body[0][7])
+    assert set(rep["query_tv"]) == {str(p) for p in rep["primes"]}
+    assert all(0 <= tv <= 0.2 for tv in rep["query_tv"].values())
 
 
 def test_reduce_flip_auto(tmp_path):

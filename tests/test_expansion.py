@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erclique.expansion import (ExpansionSpec, closed_form_tv_unbiased, exact_distribution,
+from erclique.expansion import (ExpansionSpec, bit_marginals,
+                                closed_form_tv_unbiased, exact_distribution,
                                 min_t_for_tv, parity_zero_probability,
+                                query_tv_bound, reaches_every_residue,
                                 required_t_mod_2, required_t_mod_p,
                                 sample_expansion_mod_2_batch,
                                 sample_expansion_mod_p_batch, tv_to_uniform)
@@ -141,12 +143,12 @@ def test_mod_p_sampler_congruence_batch():
 
 
 def test_mod_p_sampler_requires_tv_margin():
-    # two bits cannot cover F_13, TV precondition fails
+    # the precondition is reachability: two bits cannot cover F_13
     spec = ExpansionSpec(p=13, c=0.5, t=1)
     with pytest.raises(ValueError):
         sample_expansion_mod_p_batch(np.array([1]), spec,
                                      np.random.default_rng(0))
-    # two bits miss 4 mod 5; the TV is 1/p exactly but computes just below
+    # two bits miss 4 mod 5 (TV exactly 1/p)
     spec = ExpansionSpec(p=5, c=0.5, t=1)
     with pytest.raises(ValueError):
         sample_expansion_mod_p_batch(np.array([4]), spec,
@@ -198,8 +200,7 @@ def test_samplers_keep_every_congruence(p, t, c, eps, data):
     else:
         spec = ExpansionSpec(p=p, c=c, t=t,
                              qs=tuple(data.draw(bias) for _ in range(t + 1)))
-        dist = exact_distribution(spec)
-        holds = tv_to_uniform(dist) < 1 / p and dist.min() > 0
+        holds = (enumerate_distribution(p, spec.qs) > 0).all()
         sample = lambda: sample_expansion_mod_p_batch(xs, spec, rng)
         weights = np.array([pow(2, i, p) for i in range(t + 1)])
     if not holds:
@@ -210,6 +211,54 @@ def test_samplers_keep_every_congruence(p, t, c, eps, data):
     assert bits.shape == (len(xs), t + 1)
     assert set(np.unique(bits)) <= {0, 1}
     assert ((bits.astype(np.int64) @ weights) % p == xs).all()
+
+
+def enumerate_marginals(p, qs):
+    """Oracle: P[Z_b = 1] for each b when the residue is uniform and the bits
+    follow their law conditioned on it, over all 2^(t+1) bit patterns."""
+    n_bits = len(qs)
+    z = (np.arange(2 ** n_bits)[:, None] >> np.arange(n_bits)) & 1
+    q = np.asarray(qs)
+    prob = np.prod(np.where(z == 1, q, 1 - q), axis=1)
+    res = (z @ np.array([pow(2, i, p) for i in range(n_bits)])) % p
+    law = np.bincount(res, weights=prob, minlength=p)
+    return (prob / (p * law[res])) @ z
+
+
+def product_tv(a, b, n):
+    """Exact TV between n independent Ber(a) bits and n independent Ber(b)
+    bits, through the binomial count, which is sufficient for both."""
+    j = np.arange(n + 1)
+    binom = np.array([math.comb(n, i) for i in j], dtype=float)
+    return 0.5 * np.abs(binom * (a ** j * (1 - a) ** (n - j)
+                                 - b ** j * (1 - b) ** (n - j))).sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([3, 5, 7, 13, 31]), c=st.floats(0.05, 0.95),
+       data=st.data())
+def test_query_certificate_matches_enumeration(p, c, data):
+    # the backward pass equals brute force, and the certified bound covers
+    # the exact TV of every single-position query on small N
+    t = data.draw(st.integers((p - 1).bit_length() - 1, 10))
+    spec = ExpansionSpec(p=p, c=min(c, 1 - c), t=t, qs=(c,) * (t + 1))
+    assert reaches_every_residue(spec)
+    want = enumerate_marginals(p, spec.qs)
+    got = bit_marginals(spec)
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
+    for n in (1, 2, 3, 8):
+        worst = max(product_tv(cb, c, n) for cb in want)
+        assert query_tv_bound(spec, n) >= worst - 1e-12
+
+
+def test_unbiased_marginals_are_exactly_half():
+    # flipping every bit keeps a uniform residue uniform, so the bound is
+    # rounding error even for a million entries
+    for p in (3, 13, 61, 127):
+        for t in range((p - 1).bit_length() - 1, 12):
+            spec = ExpansionSpec(p=p, c=0.5, t=t)
+            assert np.allclose(bit_marginals(spec), 0.5, rtol=0, atol=1e-15)
+            assert query_tv_bound(spec, 10 ** 6) < 1e-9
 
 
 def test_mod_p_uniform_composition():

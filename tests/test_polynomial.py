@@ -253,11 +253,18 @@ def test_weighted_to_unweighted_mod2():
 
 
 def test_pipeline_spec_certificate():
-    from erclique.expansion import exact_distribution, tv_to_uniform
-    for p, c in [(37, 0.5), (41, 0.3), (13, 0.5)]:
+    # the certified per-query TV is within gamma, and one bit fewer either
+    # misses a residue or breaks the bound
+    from erclique.expansion import (ExpansionSpec, query_tv_bound,
+                                    reaches_every_residue)
+    for p, c in [(37, 0.5), (41, 0.3), (13, 0.5), (61, 0.7)]:
         spec = pipeline_expansion_spec(p, c, 108, 0.05)
-        tv = tv_to_uniform(exact_distribution(spec))
-        assert tv <= min(0.05 / 108, 1 / (2 * p))
+        assert spec.qs == (c,) * spec.n_bits
+        assert reaches_every_residue(spec)
+        assert query_tv_bound(spec, 108) <= 0.05
+        shorter = ExpansionSpec(p=p, c=spec.c, t=spec.t - 1, qs=spec.qs[1:])
+        assert not (reaches_every_residue(shorter)
+                    and query_tv_bound(shorter, 108) <= 0.05)
 
 
 def test_ext_to_base_trivial_extension():

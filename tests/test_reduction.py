@@ -145,7 +145,7 @@ def test_to_er_count_k6():
                       0.5, FAST, np.random.default_rng(1), reference=20)
     assert rep.count == 20
     assert rep.succeeded
-    assert rep.residues.primes == (41,)
+    assert rep.residues.primes == (61,)
     assert [rep.count % p for p in rep.residues.primes] == list(rep.residues.residues)
 
 
@@ -178,6 +178,22 @@ def test_to_er_count_call_accounting():
     assert rep.oracle_calls == want == oracle.calls
     assert rep.prime_bits == dict(reduction_plan(6, 3, 2, 0.5, params.gamma).prime_bits)
     assert want == predicted_oracle_calls(6, 3, 2, 0.5, params)
+
+
+@pytest.mark.parametrize("c", [0.5, 0.4])
+def test_query_tv_reported(c):
+    # the plan certifies each prime's per-query TV within gamma (rounding
+    # error at c = 1/2, where every expansion bit is Ber(1/2)); the report
+    # and its JSON carry it
+    plan = reduction_plan(6, 3, 2, c, FAST.gamma)
+    assert [p for p, _ in plan.query_tv] == list(plan.primes)
+    assert all(0 <= tv <= FAST.gamma for _, tv in plan.query_tv)
+    if c == 0.5:
+        assert all(tv < 1e-9 for _, tv in plan.query_tv)
+    rep = to_er_count(sample_er(6, 0.5, 2, 3), 3, AverageCaseOracle(seed=2), c,
+                      FAST, np.random.default_rng(2))
+    assert rep.query_tv == dict(plan.query_tv)
+    assert rep.to_json()["query_tv"] == {str(p): tv for p, tv in plan.query_tv}
 
 
 @pytest.mark.parametrize("c", [0.5, 0.4])
