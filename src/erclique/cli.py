@@ -19,6 +19,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -59,29 +60,39 @@ class ExperimentConfig:
         return self
 
 
+def _require_positive(args, *names):
+    """Reject each named option that is set but not positive (for an
+    integer option, below 1)."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and not value > 0:
+            flag = "--" + name.replace("_", "-")
+            raise ConfigError(f"{flag} must be positive, got {value}")
+
+
 def _out_dir(args) -> str:
     path = args.out_dir or os.environ.get(OUT_DIR_ENV, ".")
     os.makedirs(path, exist_ok=True)
     return path
 
 
-def _open_csv(args, name):
+def _write_csv(args, name: str, header, rows) -> int:
+    """Write the header and rows to stdout (--output -) or to a file, named
+    by --output or `name`, whose path is then printed.  Returns 0."""
     if args.output == "-":
-        return sys.stdout, None
+        csv.writer(sys.stdout, lineterminator="\n").writerows([header, *rows])
+        return 0
     path = os.path.join(_out_dir(args), args.output or name)
-    fh = open(path, "w", newline="")
-    return fh, path
-
-
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    print(path)
+    return 0
 
 
 def _trial_inputs(args) -> list:
     """One hypergraph per trial: a file input is reused, generated inputs are
     drawn per trial (adversarial suite first when requested)."""
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    _require_positive(args, "trials")
     if args.input:
         g = read_hypergraph(args.input)
         return [g] * args.trials
@@ -97,6 +108,7 @@ def _trial_inputs(args) -> list:
 
 
 def _map_trials(args, fn, n_trials):
+    _require_positive(args, "workers")
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             return list(pool.map(fn, range(n_trials)))
@@ -162,6 +174,7 @@ def cmd_count(args):
     k = args.k
     if k is None:
         raise ConfigError("count needs --k")
+    _require_positive(args, "eps", "iterations", "cutoff_scale")
 
     def run(i):
         g = inputs[i]
@@ -178,15 +191,7 @@ def cmd_count(args):
         return rows
 
     all_rows = _map_trials(args, run, len(inputs))
-    fh, path = _open_csv(args, "count.csv")
-    w = _writer(fh)
-    w.writerow(COUNT_HEADER)
-    for rows in all_rows:
-        w.writerows(rows)
-    if path:
-        fh.close()
-        print(path)
-    return 0
+    return _write_csv(args, "count.csv", COUNT_HEADER, chain.from_iterable(all_rows))
 
 
 REDUCE_HEADER = ["trial", "n", "k", "s", "c", "oracle", "flip_rate", "count",
@@ -210,10 +215,7 @@ def _make_oracle(args, i, parity=False):
 def cmd_reduce(args, parity=False):
     if args.k is None or args.c is None:
         raise ConfigError("reduce needs --k and --c")
-    if args.repetitions < 1:
-        raise ConfigError(f"--repetitions must be >= 1, got {args.repetitions}")
-    if not args.gamma > 0:
-        raise ConfigError(f"--gamma must be > 0, got {args.gamma}")
+    _require_positive(args, "repetitions", "gamma")
     inputs = _trial_inputs(args)
     if isinstance(args.flip_rate, str):
         if args.flip_rate == "auto":
@@ -258,19 +260,13 @@ def cmd_reduce(args, parity=False):
                 rep.injected_errors, f"{ms:.3f}" if args.timings else ""]
 
     rows = _map_trials(args, run, len(inputs))
-    fh, path = _open_csv(args, "parity.csv" if parity else "reduce.csv")
-    w = _writer(fh)
-    w.writerow(REDUCE_HEADER)
-    w.writerows(rows)
     n_ok = sum(r[9] == "true" for r in rows)
-    w.writerow(["summary", "", "", "", "", "", "", "", "",
-                f"{n_ok / len(rows):.4f}",
-                f"{np.mean([r[10] for r in rows]):.1f}",
-                f"{np.mean([r[11] for r in rows]):.1f}", ""])
-    if path:
-        fh.close()
-        print(path)
-    return 0
+    summary = ["summary", "", "", "", "", "", "", "", "",
+               f"{n_ok / len(rows):.4f}",
+               f"{np.mean([r[10] for r in rows]):.1f}",
+               f"{np.mean([r[11] for r in rows]):.1f}", ""]
+    return _write_csv(args, "parity.csv" if parity else "reduce.csv",
+                      REDUCE_HEADER, [*rows, summary])
 
 
 DECIDE_HEADER = ["trial", "n", "k", "s", "accepted", "reference", "wall_ms"]
@@ -279,6 +275,7 @@ DECIDE_HEADER = ["trial", "n", "k", "s", "accepted", "reference", "wall_ms"]
 def cmd_decide(args):
     if args.k is None:
         raise ConfigError("decide needs --k")
+    _require_positive(args, "trials_factor")
     inputs = _trial_inputs(args)
 
     def run(i):
@@ -292,15 +289,8 @@ def cmd_decide(args):
         return [i, g.n, args.k, g.s, str(got).lower(), str(ref).lower(),
                 f"{ms:.3f}" if args.timings else ""]
 
-    rows = _map_trials(args, run, len(inputs))
-    fh, path = _open_csv(args, "decide.csv")
-    w = _writer(fh)
-    w.writerow(DECIDE_HEADER)
-    w.writerows(rows)
-    if path:
-        fh.close()
-        print(path)
-    return 0
+    return _write_csv(args, "decide.csv", DECIDE_HEADER,
+                      _map_trials(args, run, len(inputs)))
 
 
 VERIFY_HEADER = ["p", "c", "eps", "required_t", "dp_tv", "pass",
@@ -321,9 +311,7 @@ def cmd_verify_expansion(args):
             raise ConfigError(f"invalid grid entry {spec_str!r}: need p an odd prime, "
                               "eps > 0, c in (0,0.5]")
         triples.append((p, c, eps))
-    fh, path = _open_csv(args, "verify_expansion.csv")
-    w = _writer(fh)
-    w.writerow(VERIFY_HEADER)
+    rows = []
     for p, c, eps in triples:
         t = expansion.required_t_mod_p(p, c, eps)
         spec = expansion.ExpansionSpec(p=p, c=c, t=t)
@@ -331,11 +319,8 @@ def cmd_verify_expansion(args):
         residual = ""
         if c == 0.5:
             residual = f"{abs(tv - expansion.closed_form_tv_unbiased(p, t)):.3e}"
-        w.writerow([p, c, eps, t, f"{tv:.6e}", str(tv <= eps).lower(), residual])
-    if path:
-        fh.close()
-        print(path)
-    return 0
+        rows.append([p, c, eps, t, f"{tv:.6e}", str(tv <= eps).lower(), residual])
+    return _write_csv(args, "verify_expansion.csv", VERIFY_HEADER, rows)
 
 
 def cmd_bench(args):

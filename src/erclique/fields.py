@@ -432,7 +432,7 @@ class ExtFieldCtx:
                     table[a, b] = v
                     table[b, a] = v
             inv = np.array(self.inverse_matrix, dtype=np.int64)
-            coords = np.zeros((q, t), dtype=np.int64)
+            coords = np.zeros((q, t), dtype=np.min_scalar_type(p - 1))
             for x in range(q):
                 coords[x] = (inv @ np.array(self.unpack(x), dtype=np.int64)) % p
             self._mul_table = table
@@ -468,10 +468,12 @@ class ExtFieldCtx:
         return (a[..., None] // place - b[..., None] // place) % p @ place
 
     def decompose_vec(self, vec: np.ndarray) -> np.ndarray:
-        """(m, t) matrix of normal-basis coordinates of packed elements."""
+        """(m, t) matrix of normal-basis coordinates of packed elements, in
+        the smallest unsigned dtype that holds p - 1 (bytes for p = 2)."""
         if self.order <= _MUL_TABLE_LIMIT:
             return self._tables()[1][vec]
-        return np.array([self.decompose(int(v)) for v in vec], dtype=np.int64)
+        return np.array([self.decompose(int(v)) for v in vec],
+                        dtype=np.min_scalar_type(self.base.p - 1))
 
     def __repr__(self):
         return f"ExtFieldCtx(p={self.base.p}, t={self.t}, beta={self.beta})"

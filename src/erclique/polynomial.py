@@ -9,15 +9,17 @@ over all colorings a of the label-sets of prod_S w_{a(S)} times its value
 on the coloring's input (`_coloring_sum`).  The binary-expansion
 decomposition (`recombine_expansions`, `weighted_to_unweighted_batch`)
 colors by bit positions with weights 2^b mod p (1 for p = 2); the
-extension-to-base decomposition (`ext_to_base_reduce`) colors by
-normal-basis coordinates with weights beta^(p^i).
+extension-to-base decomposition (`ext_to_base_reduce`) colors by pairs of
+a normal-basis coordinate i and an expansion bit b, with weights
+beta^(p^i) * w_b (by the coordinates alone at c = 1/2).
 
 Callback contracts: every callback is batched.  `random_self_reduce`'s
 `eval_at` takes the (12D, N) matrix of curve points over the field, one
 point per row, and returns their 12D claimed values.  `er_eval`/`base_eval`
-take an (M, N) 0/1 (resp. base-field) matrix, one input per row, and return
-a length-M integer vector of polynomial values.  Scalar usage is the M = 1
-case.
+take an (M, N) matrix, one input per row, and return a length-M integer
+vector of polynomial values.  The rows are 0/1, except at c = 1/2 in
+`ext_to_base_reduce`, which passes the normal-basis coordinates (0/1 over
+a binary field).  Scalar usage is the M = 1 case.
 """
 
 from dataclasses import dataclass
@@ -228,12 +230,13 @@ def pipeline_mod_2_t(c: float, n_edges: int, gamma: float) -> int:
 
 def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
                        gamma: float, rng) -> np.ndarray:
-    """(M, N, B) expansion bits of an (M, N) matrix over F_p: Ber(c) bits
-    conditioned on their `bit_weights`-weighted sum being each entry, with
-    B chosen so that the expansion of a uniform entry is within gamma/N of
-    independent Ber(c) bits."""
+    """(..., N, B) expansion bits of a (..., N) array over F_p, whose last
+    axis holds the N entries of a point: Ber(c) bits conditioned on their
+    `bit_weights`-weighted sum being each entry, with B chosen so that the
+    expansion of a uniform entry is within gamma/N of independent Ber(c)
+    bits."""
     p = field.p
-    m, n_edges = points.shape
+    n_edges = points.shape[-1]
     if p == 2:
         bits = sample_expansion_mod_2_batch(points.ravel(), c,
                                             pipeline_mod_2_t(c, n_edges, gamma),
@@ -241,7 +244,7 @@ def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
     else:
         spec = pipeline_expansion_spec(p, c, n_edges, gamma)
         bits = sample_expansion_mod_p_batch(points.ravel(), spec, rng)
-    return bits.reshape(m, n_edges, -1)
+    return bits.reshape(*points.shape, -1)
 
 
 def recombine_expansions(per_edge_bits: np.ndarray, index: EdgeIndex,
@@ -289,17 +292,31 @@ def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
 # extension field -> base field
 # ---------------------------------------------------------------------------
 
-def ext_to_base_reduce(x: WeightedKPartiteInput, base_eval, ctx: ExtFieldCtx) -> int:
-    """Evaluate the polynomial over F_{p^t} using a base-field callback.
+def ext_to_base_reduce(points: np.ndarray, index: EdgeIndex, ctx: ExtFieldCtx,
+                       c: float, gamma: float, base_eval, rng=None,
+                       row_budget: int = 1 << 14) -> np.ndarray:
+    """Evaluate the polynomial at a batch of points over F_{p^t} using a
+    callback that only evaluates base-field points.
 
-    Every entry is decomposed in the normal basis; this is the coloring sum
-    with the t coordinates as colors: for each coloring a of the label-sets
-    by {0..t-1}, the coordinate-selected base vector is evaluated by the
-    callback and weighted by prod_S beta^(p^a(S)).  Deterministic: all t^D
-    colorings are evaluated.
+    points: (M, N) matrix of packed elements; returns the length-M vector
+    of polynomial values.  Each entry is x = sum_i x_i beta^(p^i) in the
+    normal basis.  At c != 1/2 each coordinate is expanded once into B bits
+    as in `weighted_to_unweighted_batch`, so a query still reads one bit of
+    each of N independent entries, and the colors are the pairs (i, b):
+    color i*B + b reads bit b of coordinate i, of weight beta^(p^i) * w_b.
+    At c = 1/2 the colors are the coordinates, uniform bits over GF(2^t).
     """
     if not isinstance(ctx, ExtFieldCtx):
         raise ValueError("ext_to_base_reduce needs an extension field context")
-    coords = ctx.decompose_vec(x.values)[None]  # (1, N, t)
+    m, n_edges = np.shape(points)
+    if n_edges != index.size:
+        raise ValueError("points width does not match the edge index")
+    alpha = ctx.decompose_vec(np.ravel(points)).reshape(m, n_edges, ctx.t)
     weights = np.array(ctx.frob_beta, dtype=np.int64)
-    return int(_coloring_sum(coords, weights, ctx, x.index, base_eval)[0])
+    if c != 0.5:
+        # (M, t, N, B): each coordinate position is a batch of points
+        bits = _sample_expansions(alpha.transpose(0, 2, 1), ctx.base, c, gamma,
+                                  as_rng(rng))
+        alpha = bits.transpose(0, 2, 1, 3).reshape(m, n_edges, -1)
+        weights = ctx.mul_vec(weights[:, None], bit_weights(ctx.char, bits.shape[3])).ravel()
+    return _coloring_sum(alpha, weights, ctx, index, base_eval, row_budget)

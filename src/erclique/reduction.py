@@ -9,12 +9,12 @@ errors), the coloring sum that decomposes weighted inputs into near-ER 0/1
 inputs, and inclusion-exclusion over vertex-label subsets that converts
 k-partite counting into plain counting on induced subhypergraphs.  The
 coloring sum (see `polynomial`) colors the label-sets by binary-expansion
-bits for counting, and by normal-basis coordinates, then mod-2 expansion
-bits when c != 1/2, for parity.  One memoised `ReductionPlan` per
-(n, k, s, c, gamma) fixes the fields, the expansion lengths and the
-predicted oracle calls of both pipelines.  Oracle calls are issued in
-coloring batches so that desk-scale parameter grids are tractable; batch
-and single-call semantics agree.
+bits for counting, and by (normal-basis coordinate, mod-2 expansion bit)
+pairs for parity.  One memoised `ReductionPlan` per (n, k, s, c, gamma)
+fixes the fields, the expansion lengths and the predicted oracle calls of
+both pipelines.  Oracle calls are issued in coloring batches so that
+desk-scale parameter grids are tractable; batch and single-call semantics
+agree.
 
 Oracle queries are answered by one of two routes, chosen by the oracle's
 counter.  The default counters (`cliques.brute_force_count` and
@@ -393,6 +393,13 @@ def _kp_counts_batch(bits: np.ndarray, layout: _KPLayout, oracle, c: float,
     return result & 1 if parity else result
 
 
+def _kpartite_to_general(g: KPartiteHypergraph, oracle: AverageCaseOracle,
+                         c: float, rng, parity: bool) -> int:
+    layout = _kp_layout(g.n, g.k, g.s)
+    bits = g.to_bits(layout.index)[None, :].astype(np.uint8)
+    return int(_kp_counts_batch(bits, layout, oracle, c, as_rng(rng), parity)[0])
+
+
 def kpartite_to_general_count(g: KPartiteHypergraph, oracle: AverageCaseOracle,
                               c: float, rng=None) -> int:
     """Count the label-complete k-cliques of a k-partite hypergraph using an
@@ -400,19 +407,13 @@ def kpartite_to_general_count(g: KPartiteHypergraph, oracle: AverageCaseOracle,
     query every nonempty part subset's induced subhypergraph, and peel the
     label spectrum by inclusion-exclusion.  Exact whenever every one of the
     2^k - 1 oracle answers is exact."""
-    rng = as_rng(rng)
-    layout = _kp_layout(g.n, g.k, g.s)
-    bits = g.to_bits(layout.index)[None, :].astype(np.uint8)
-    return int(_kp_counts_batch(bits, layout, oracle, c, rng, parity=False)[0])
+    return _kpartite_to_general(g, oracle, c, rng, parity=False)
 
 
 def kpartite_to_general_parity(g: KPartiteHypergraph, oracle: AverageCaseOracle,
                                c: float, rng=None) -> int:
     """Parity variant of :func:`kpartite_to_general_count`."""
-    rng = as_rng(rng)
-    layout = _kp_layout(g.n, g.k, g.s)
-    bits = g.to_bits(layout.index)[None, :].astype(np.uint8)
-    return int(_kp_counts_batch(bits, layout, oracle, c, rng, parity=True)[0])
+    return _kpartite_to_general(g, oracle, c, rng, parity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +648,9 @@ class ReductionPlan:
 
     @property
     def parity_calls(self) -> int:
-        """Oracle calls of one parity repetition: 12D * kappa^D extension
-        colorings, each with mod_2_bits^D expansion colorings, each costing
-        2^k - 1 calls."""
+        """Oracle calls of one parity repetition: 12D curve points, each with
+        (kappa * mod_2_bits)^D colorings by (normal-basis coordinate, mod-2
+        expansion bit) pairs, each costing 2^k - 1 calls."""
         return (12 * self.d * (self.kappa * self.mod_2_bits) ** self.d
                 * self.queries)
 
@@ -687,17 +688,35 @@ def predicted_parity_calls(n: int, k: int, s: int, c: float,
 
 
 # ---------------------------------------------------------------------------
-# the counting pipeline
+# repetitions and votes, shared by both pipelines
 # ---------------------------------------------------------------------------
 
+def _self_reduce_votes(x: WeightedKPartiteInput, eval_at, repetitions: int, rng):
+    """The decoded values of `repetitions` random self-reductions of x, and
+    the (repetition, message) of every one whose decode failed."""
+    votes, failures = [], []
+    for rep in range(repetitions):
+        try:
+            votes.append(random_self_reduce(x, eval_at, rng))
+        except DecodeFailure as exc:
+            failures.append((rep, str(exc)))
+    return votes, failures
+
+
 def _majority(votes):
-    """(winner, margin): most common vote and its lead over the runner-up."""
+    """(winner, margin): most common vote and its lead over the runner-up;
+    (0, 0) without votes."""
     tally = {}
     for v in votes:
         tally[v] = tally.get(v, 0) + 1
-    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
-    margin = ranked[0][1] - (ranked[1][1] if len(ranked) > 1 else 0)
-    return ranked[0][0], margin
+    # zero-count padding: no votes elect 0, a lone candidate leads by its count
+    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])) + [(0, 0)] * 2
+    return ranked[0][0], ranked[0][1] - ranked[1][1]
+
+
+# ---------------------------------------------------------------------------
+# the counting pipeline
+# ---------------------------------------------------------------------------
 
 
 def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
@@ -732,27 +751,18 @@ def to_er_count(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
         x = WeightedKPartiteInput(layout.index, xbits % p, ctx)
 
         def er_eval(rows):
-            return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
-                                    oracle, c, rng, parity=False) % p
+            return _kp_counts_batch(rows, layout, oracle, c, rng, parity=False) % p
 
         def eval_at(points):
             return weighted_to_unweighted_batch(points, layout.index, ctx, c,
                                                 params.gamma, er_eval, rng,
                                                 _CURVE_CHUNK)
 
-        votes = []
-        for rep in range(params.repetitions):
-            try:
-                votes.append(random_self_reduce(x, eval_at, rng))
-            except DecodeFailure as exc:
-                failures.append((p, rep, str(exc)))
-        if votes:
-            winner, margin = _majority(votes)
-            residues.append(winner)
-            margins[p] = margin
-        else:
-            residues.append(0)
-            margins[p] = 0
+        votes, fails = _self_reduce_votes(x, eval_at, params.repetitions, rng)
+        failures.extend((p, rep, msg) for rep, msg in fails)
+        winner, margins[p] = _majority(votes)
+        residues.append(winner)
+        if not votes:
             failed.append(p)
 
     rv = ResidueVector(plan.primes, tuple(residues))
@@ -779,11 +789,12 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     oracle on near-ER inputs.
 
     The polynomial is evaluated over the plan's binary extension field
-    GF(2^kappa), of order above 12 C(k,s), by random self-reduction; each
-    curve point is decomposed onto the normal basis into base-field inputs,
-    which at c = 1/2 are already uniform 0/1 vectors (fast path) and
-    otherwise pass through the mod-2 expansion decomposition.  A failed
-    decode is recorded in the report with its repetition and cause.
+    GF(2^kappa), of order above 12 C(k,s), by random self-reduction.  The
+    12D points of a curve are evaluated together by one coloring sum over
+    pairs of a normal-basis coordinate and a mod-2 expansion bit
+    (`ext_to_base_reduce`), whose 0/1 rows reach the oracle through
+    inclusion-exclusion in shared batches.  A failed decode is recorded in
+    the report with its repetition and cause.
     """
     params = params or ReductionParams()
     rng = as_rng(rng)
@@ -792,7 +803,6 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     n, s = g.n, g.s
     plan = reduction_plan(n, k, s, c, params.gamma)
     ctx = find_normal_basis(2, plan.kappa)
-    f2 = PrimeFieldCtx(2)
     layout = _kp_layout(n, k, s)
     xbits = blow_up_k_partite(g, k).to_bits(layout.index)
     x = WeightedKPartiteInput(layout.index, xbits, ctx)
@@ -800,32 +810,16 @@ def to_er_parity(g: Hypergraph, k: int, oracle: AverageCaseOracle, c: float,
     injected_before = oracle.injected
 
     def parity_eval(rows):
-        return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
-                                oracle, c, rng, parity=True)
-
-    if c == 0.5:
-        base_eval = parity_eval
-    else:
-        def base_eval(rows):
-            return weighted_to_unweighted_batch(rows, layout.index, f2, c,
-                                                params.gamma, parity_eval, rng)
+        return _kp_counts_batch(rows, layout, oracle, c, rng, parity=True)
 
     def eval_at(points):
-        # point by point: batching the points, as the counting curve does,
-        # would change the order in which the random draws are used
-        return [ext_to_base_reduce(WeightedKPartiteInput(layout.index, point, ctx),
-                                   base_eval, ctx) for point in points]
+        return ext_to_base_reduce(points, layout.index, ctx, c, params.gamma,
+                                  parity_eval, rng)
 
-    votes, failures = [], []
-    for rep in range(params.repetitions):
-        try:
-            votes.append(0 if random_self_reduce(x, eval_at, rng) == 0 else 1)
-        except DecodeFailure as exc:
-            failures.append((rep, str(exc)))
-    succeeded = bool(votes)
-    parity = _majority(votes)[0] if votes else 0
-    if reference is not None:
-        succeeded = succeeded and parity == reference
+    values, failures = _self_reduce_votes(x, eval_at, params.repetitions, rng)
+    votes = [0 if v == 0 else 1 for v in values]
+    parity = _majority(votes)[0]
+    succeeded = bool(votes) and (reference is None or parity == reference)
     return ParityReport(parity=parity,
                         oracle_calls=oracle.calls - calls_before,
                         injected_errors=oracle.injected - injected_before,

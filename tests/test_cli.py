@@ -66,6 +66,7 @@ def test_malformed_file_exit(tmp_path, capsys):
 
 
 REDUCE_ARGS = ["--n", 5, "--c", "0.5", "--s", 3, "--k", 3, "--gamma", "0.2"]
+COUNT_ARGS = ["--n", 8, "--c", "0.4", "--s", 2, "--k", 3]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -83,6 +84,23 @@ REDUCE_ARGS = ["--n", 5, "--c", "0.5", "--s", 3, "--k", 3, "--gamma", "0.2"]
     pytest.param(["verify-expansion", "--grid", "4,0.5,0.1"], "odd prime", id="grid-p4"),
     pytest.param(["verify-expansion", "--grid", "2,0.5,0.1"], "odd prime", id="grid-p2"),
     pytest.param(["verify-expansion", "--grid", "1,0.5,0.1"], "odd prime", id="grid-p1"),
+    pytest.param(["decide", *COUNT_ARGS, "--trials-factor", 0], "--trials-factor",
+                 id="trials-factor-zero"),
+    pytest.param(["count", "--algo", "greedy", *COUNT_ARGS, "--eps", -1], "--eps",
+                 id="count-eps"),
+    pytest.param(["bench", "--algo", "greedy", *COUNT_ARGS, "--eps", -1], "--eps",
+                 id="bench-eps"),
+    pytest.param(["count", "--algo", "greedy", *COUNT_ARGS, "--iterations", -3],
+                 "--iterations", id="count-iterations"),
+    pytest.param(["bench", "--algo", "greedy", *COUNT_ARGS, "--iterations", -3],
+                 "--iterations", id="bench-iterations"),
+    pytest.param(["count", "--algo", "itgen", *COUNT_ARGS, "--cutoff-scale", -1],
+                 "--cutoff-scale", id="count-cutoff-scale"),
+    pytest.param(["bench", "--algo", "itgen", *COUNT_ARGS, "--cutoff-scale", -1],
+                 "--cutoff-scale", id="bench-cutoff-scale"),
+    pytest.param(["count", *COUNT_ARGS, "--workers", 0], "--workers", id="count-workers"),
+    pytest.param(["reduce", *REDUCE_ARGS, "--workers", 0], "--workers",
+                 id="reduce-workers"),
 ])
 def test_invalid_config_ranges(tmp_path, capsys, argv, message):
     code = run(argv + ["--out-dir", tmp_path])

@@ -3,7 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from erclique.cliques import brute_force_count_kpartite
@@ -11,7 +11,8 @@ from erclique.fields import PrimeFieldCtx, find_normal_basis
 from erclique.hypergraph import KPartiteHypergraph, edge_index
 from erclique.polynomial import (WeightedKPartiteInput, eval_clique_poly,
                                  ext_to_base_reduce, pipeline_expansion_spec,
-                                 random_self_reduce, recombine_expansions,
+                                 pipeline_mod_2_t, random_self_reduce,
+                                 recombine_expansions,
                                  weighted_to_unweighted_batch)
 
 F13 = PrimeFieldCtx(13)
@@ -267,6 +268,12 @@ def test_pipeline_spec_certificate():
                     and query_tv_bound(shorter, 108) <= 0.05)
 
 
+def ext_to_base_one(x, base_eval):
+    """ext_to_base_reduce at c = 1/2 on the one-point batch x."""
+    return int(ext_to_base_reduce(x.values[None], x.index, x.field, 0.5, 0.2,
+                                  base_eval)[0])
+
+
 def test_ext_to_base_trivial_extension():
     # t = 1: single coloring with weight beta; dividing it out recovers the
     # base evaluation
@@ -277,7 +284,7 @@ def test_ext_to_base_trivial_extension():
     for _ in range(20):
         vals = rng.integers(0, 2, idx.size)
         x = WeightedKPartiteInput(idx, vals, ctx)
-        got = ext_to_base_reduce(x, exact_er_eval(idx, f2), ctx)
+        got = ext_to_base_one(x, exact_er_eval(idx, f2))
         base = eval_clique_poly(WeightedKPartiteInput(idx, vals, f2))
         beta = ctx.pack(ctx.beta)
         assert got == ctx.mul(beta, ctx.embed_base(int(base)))
@@ -291,7 +298,7 @@ def test_ext_to_base_f4():
     for _ in range(100):
         vals = rng.integers(0, 4, idx.size)
         x = WeightedKPartiteInput(idx, vals, ctx)
-        got = ext_to_base_reduce(x, exact_er_eval(idx, f2), ctx)
+        got = ext_to_base_one(x, exact_er_eval(idx, f2))
         assert got == eval_clique_poly(x)
 
 
@@ -303,13 +310,12 @@ def test_ext_to_base_f9_and_embedding():
     for _ in range(50):
         vals = rng.integers(0, 9, idx.size)
         x = WeightedKPartiteInput(idx, vals, ctx)
-        assert ext_to_base_reduce(x, exact_er_eval(idx, f3), ctx) == \
-            eval_clique_poly(x)
+        assert ext_to_base_one(x, exact_er_eval(idx, f3)) == eval_clique_poly(x)
     # base-field-embedded inputs evaluate to the embedded base value
     for _ in range(20):
         base_vals = rng.integers(0, 3, idx.size)
         x = WeightedKPartiteInput(idx, base_vals, ctx)
-        got = ext_to_base_reduce(x, exact_er_eval(idx, f3), ctx)
+        got = ext_to_base_one(x, exact_er_eval(idx, f3))
         want = eval_clique_poly(WeightedKPartiteInput(idx, base_vals, f3))
         assert got == ctx.embed_base(int(want))
 
@@ -323,7 +329,7 @@ def test_ext_to_base_three_label_sets(p, t):
     rng = np.random.default_rng(15)
     for _ in range(20):
         x = WeightedKPartiteInput(idx, rng.integers(0, ctx.order, idx.size), ctx)
-        got = ext_to_base_reduce(x, exact_er_eval(idx, PrimeFieldCtx(p)), ctx)
+        got = ext_to_base_one(x, exact_er_eval(idx, PrimeFieldCtx(p)))
         assert got == eval_clique_poly(x)
 
 
@@ -393,4 +399,41 @@ def test_ext_to_base_reduce_equals_polynomial(idx, kappa, seed):
     ctx = find_normal_basis(2, kappa)
     vals = np.random.default_rng(seed).integers(0, ctx.order, idx.size)
     x = WeightedKPartiteInput(idx, vals, ctx)
-    assert ext_to_base_reduce(x, fast_er_eval(idx, 2), ctx) == eval_clique_poly(x)
+    assert ext_to_base_one(x, fast_er_eval(idx, 2)) == eval_clique_poly(x)
+
+
+@PROPERTY
+@given(small_indices(), st.sampled_from([(2, t) for t in range(1, 7)] + [(3, 1), (3, 2)]),
+       st.sampled_from([0.3, 0.4, 0.7]), st.integers(1, 3), SEEDS)
+def test_ext_to_base_reduce_expanded_equals_polynomial(idx, field, c, m, seed):
+    # at c != 1/2 the colors are (coordinate i, expansion bit b) pairs of
+    # weight beta^(p^i) * w_b; every point is exact whatever expansion is
+    # sampled
+    p, kappa = field
+    ctx = find_normal_basis(p, kappa)
+    n_bits = (pipeline_mod_2_t(c, idx.size, 0.5) + 1 if p == 2
+              else pipeline_expansion_spec(p, c, idx.size, 0.5).n_bits)
+    assume(m * (kappa * n_bits) ** comb(idx.k, idx.s) <= 40_000)
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(0, ctx.order, (m, idx.size))
+    got = ext_to_base_reduce(pts, idx, ctx, c, 0.5, fast_er_eval(idx, p), rng)
+    want = [eval_clique_poly(WeightedKPartiteInput(idx, row, ctx)) for row in pts]
+    assert got.tolist() == want
+
+
+@PROPERTY
+@given(small_indices(), st.integers(1, 6), st.integers(1, 4), st.integers(1, 64), SEEDS)
+def test_ext_to_base_reduce_batch_equals_single_points(idx, kappa, m, row_budget, seed):
+    # a wrong but deterministic callback: each point's value depends only
+    # on its own rows, however the batch is cut into callback calls
+    ctx = find_normal_basis(2, kappa)
+    exact = fast_er_eval(idx, 2)
+
+    def skewed(rows):
+        return (exact(rows) + rows[:, ::2].sum(axis=1)) % 2
+
+    pts = np.random.default_rng(seed).integers(0, ctx.order, (m, idx.size))
+    got = ext_to_base_reduce(pts, idx, ctx, 0.5, 0.2, skewed, row_budget=row_budget)
+    single = [ext_to_base_one(WeightedKPartiteInput(idx, row, ctx), skewed)
+              for row in pts]
+    assert got.tolist() == single

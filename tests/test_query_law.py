@@ -1,14 +1,20 @@
 """The law of what the oracle sees.
 
-Uniform random points mod the plan's prime go through the expansion
-decomposition into the counting oracle's kernel path, as `to_er_count`
-sends its curve points (in one chunk here), and the 0/1 rows and
+Uniform random curve-like points go through a pipeline's decomposition
+into its oracle's kernel path, in one chunk here, and the 0/1 rows and
 within-part bits that reach the kernel are captured.  Their frequencies
 are checked by binomial and chi-square tests against the law the plan
-certifies: bit b of every expansion is Ber(c'_b), enumerated here over all
-bit patterns, with c'_b = 1/2 exactly at c = 1/2; the within-part bits are
-Ber(c); and the enumerated law of one query is within gamma of
-Erdos-Renyi.
+certifies; the within-part bits are Ber(c) in both pipelines.
+
+- Counting: points mod the plan's prime through the expansion
+  decomposition.  Bit b of every expansion is Ber(c'_b), enumerated here
+  over all bit patterns, with c'_b = 1/2 exactly at c = 1/2, and the
+  enumerated law of one query is within gamma of Erdos-Renyi.
+- Parity: points over GF(2^kappa) through the product-alphabet
+  decomposition.  Bit b of the mod-2 expansion of every normal-basis
+  coordinate is Ber(c'_b) (`bit_marginals` of the mod-2 spec, checked
+  against the closed form of a parity conditioning); at c = 1/2 the
+  coordinates are not expanded and each is exactly Ber(1/2).
 """
 
 from math import comb
@@ -18,9 +24,11 @@ import pytest
 from scipy.stats import binomtest, chi2
 
 from erclique import reduction
-from erclique.expansion import bit_marginals
-from erclique.fields import PrimeFieldCtx
-from erclique.polynomial import pipeline_expansion_spec, weighted_to_unweighted_batch
+from erclique.cliques import parity_count
+from erclique.expansion import ExpansionSpec, bit_marginals, parity_zero_probability
+from erclique.fields import PrimeFieldCtx, find_normal_basis
+from erclique.polynomial import (ext_to_base_reduce, pipeline_expansion_spec,
+                                 weighted_to_unweighted_batch)
 from erclique.reduction import (AverageCaseOracle, _kp_counts_batch,
                                 _kp_layout, reduction_plan)
 from test_expansion import enumerate_marginals
@@ -30,17 +38,11 @@ ROWS = 60_000  # rows per cell reaching the kernel
 ALPHA = 1e-3   # family-wise significance per cell, split over its tests
 
 
-def capture_queries(n, k, s, c, seed, monkeypatch):
-    """(plan, p, T, expansions, within) for uniform points mod the plan's
-    first prime pushed through the counting path: expansions[point, edge, b]
-    is bit b of the entry's expansion as the kernel rows show it, and
-    within the (W, rows) within-part bits.  Also checks that every kernel
-    row is the coloring it stands for."""
-    plan = reduction_plan(n, k, s, c, GAMMA)
-    p, t = plan.prime_bits[0]
-    layout = _kp_layout(n, k, s)
-    n_col = t ** plan.d
-    m = max(1, ROWS // n_col)
+def capture_queries(layout, c, parity, rng, push, monkeypatch):
+    """Run push(evaluate), where `evaluate` is the pipeline's oracle
+    callback (`_kp_counts_batch` through an exact oracle), and return the
+    (rows, N) 0/1 rows and (W, rows) within-part bits that reached the
+    kernel, and the oracle's calls."""
     seen_bits, seen_within = [], []
     kernel = reduction._subset_clique_counts
 
@@ -50,39 +52,83 @@ def capture_queries(n, k, s, c, seed, monkeypatch):
         return kernel(bits, within, layout, parity)
 
     monkeypatch.setattr(reduction, "_subset_clique_counts", spy)
-    rng = np.random.default_rng(seed)
-    oracle = AverageCaseOracle()
+    oracle = AverageCaseOracle(counter=parity_count if parity else None)
 
-    def er_eval(rows):
+    def evaluate(rows):
         return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
-                                oracle, c, rng, parity=False) % p
+                                oracle, c, rng, parity=parity)
 
-    points = rng.integers(0, p, (m, layout.index.size))
-    # one chunk holds every coloring of every point, so rows arrive
-    # point-major, colorings in `_coloring_sum` order
-    weighted_to_unweighted_batch(points, layout.index, PrimeFieldCtx(p), c,
-                                 GAMMA, er_eval, rng, row_budget=m * n_col)
-    assert oracle.calls == m * n_col * plan.queries
-    rows = np.concatenate(seen_bits).reshape(m, n_col, -1)
-    within = np.concatenate(seen_within, axis=1)
-    digits = np.unravel_index(np.arange(n_col), (t,) * plan.d)
-    block = n ** s
-    # the all-b coloring reads bit b of every entry
-    diagonal = np.ravel_multi_index((np.arange(t),) * plan.d, (t,) * plan.d)
-    expansions = rows[:, diagonal, :].transpose(0, 2, 1)
-    # every row reads, in label-set r, the bit its coloring gives r
+    push(evaluate)
+    return (np.concatenate(seen_bits), np.concatenate(seen_within, axis=1),
+            oracle.calls)
+
+
+def alphabet_values(rows, m, n_colors, d, block):
+    """(M, N, A) value of every entry of M points at each of the A colors,
+    read off rows that arrive point-major with all A^D colorings in
+    `_coloring_sum` order; also checks that every row is its coloring."""
+    n_col = n_colors ** d
+    rows = rows.reshape(m, n_col, -1)
+    digits = np.unravel_index(np.arange(n_col), (n_colors,) * d)
+    # the all-a coloring reads color a of every entry
+    diagonal = np.ravel_multi_index((np.arange(n_colors),) * d, (n_colors,) * d)
+    values = rows[:, diagonal, :].transpose(0, 2, 1)
+    # every row reads, in label-set r, the color its coloring gives r
     for r, a in enumerate(digits):
         edges = slice(r * block, (r + 1) * block)
         assert (rows[:, :, edges]
-                == expansions[:, edges, :][:, :, a].transpose(0, 2, 1)).all()
-    return plan, p, t, expansions, within
+                == values[:, edges, :][:, :, a].transpose(0, 2, 1)).all()
+    return values
+
+
+def color_pvalues(values, want, d, block):
+    """Binomial p-value of each (label-set, color) frequency against
+    want[color]; the entries of a point are independent, so each
+    label-set gives points * block trials."""
+    pvalues = {}
+    for r in range(d):
+        ones = values[:, r * block:(r + 1) * block, :]
+        trials = ones.shape[0] * ones.shape[1]
+        for a, q in enumerate(want):
+            pvalues[r, a] = binomtest(int(ones[:, :, a].sum()), trials, q).pvalue
+    return pvalues
+
+
+def within_pvalues(within, c, n_within):
+    """Within-part bits: density c overall (binomial) and in every slot
+    (chi-square)."""
+    hits = within.sum(axis=1)
+    total = within.shape[1]
+    assert len(hits) == n_within
+    stat = ((hits - total * c) ** 2 / (total * c * (1 - c))).sum()
+    return {"within": binomtest(int(hits.sum()), within.size, c).pvalue,
+            "within slots": chi2.sf(stat, len(hits))}
+
+
+def assert_no_outlier(pvalues):
+    worst = min(pvalues, key=pvalues.get)
+    assert pvalues[worst] > ALPHA / len(pvalues), (worst, pvalues[worst])
 
 
 @pytest.mark.parametrize("c", [0.3, 0.5])
 @pytest.mark.parametrize("n,k,s", [(3, 2, 2), (4, 3, 2)])
 def test_oracle_sees_certified_law(n, k, s, c, monkeypatch):
-    plan, p, t, expansions, within = capture_queries(
-        n, k, s, c, (n, k, s, round(10 * c)), monkeypatch)
+    rng = np.random.default_rng((n, k, s, round(10 * c)))
+    plan = reduction_plan(n, k, s, c, GAMMA)
+    p, t = plan.prime_bits[0]
+    layout = _kp_layout(n, k, s)
+    n_col = t ** plan.d
+    m = max(1, ROWS // n_col)
+    points = rng.integers(0, p, (m, layout.index.size))
+
+    def push(er_eval):
+        weighted_to_unweighted_batch(points, layout.index, PrimeFieldCtx(p), c,
+                                     GAMMA, er_eval, rng, row_budget=m * n_col)
+
+    rows, within, calls = capture_queries(layout, c, False, rng, push, monkeypatch)
+    assert calls == m * n_col * plan.queries
+    expansions = alphabet_values(rows, m, t, plan.d, n ** s)
+
     want = enumerate_marginals(p, (c,) * t)
     spec = pipeline_expansion_spec(p, c, plan.n_edges, GAMMA)
     assert spec.n_bits == t
@@ -94,23 +140,46 @@ def test_oracle_sees_certified_law(n, k, s, c, monkeypatch):
     bc = np.sqrt(want * c) + np.sqrt((1 - want) * (1 - c))
     assert np.sqrt(1 - bc.min() ** (2 * plan.n_edges)) <= GAMMA
 
-    # each (label-set, bit position) frequency against c'_b; the entries
-    # of a point are independent, so each label-set gives points * n^s trials
-    block = n ** s
-    pvalues = {}
-    for r in range(plan.d):
-        ones = expansions[:, r * block:(r + 1) * block, :]
-        trials = ones.shape[0] * ones.shape[1]
-        for b in range(t):
-            hits = int(ones[:, :, b].sum())
-            pvalues[r, b] = binomtest(hits, trials, want[b]).pvalue
+    pvalues = color_pvalues(expansions, want, plan.d, n ** s)
+    pvalues.update(within_pvalues(within, c, comb(n * k, s) - plan.n_edges))
+    assert_no_outlier(pvalues)
 
-    # within-part bits: density c overall and in every slot
-    hits = within.sum(axis=1)
-    total = within.shape[1]
-    assert len(hits) == comb(n * k, s) - plan.n_edges
-    pvalues["within"] = binomtest(int(hits.sum()), within.size, c).pvalue
-    stat = ((hits - total * c) ** 2 / (total * c * (1 - c))).sum()
-    pvalues["within slots"] = chi2.sf(stat, len(hits))
-    worst = min(pvalues, key=pvalues.get)
-    assert pvalues[worst] > ALPHA / len(pvalues), (worst, pvalues[worst])
+
+@pytest.mark.parametrize("c", [0.3, 0.5])
+def test_parity_oracle_sees_certified_law(c, monkeypatch):
+    n, k, s = 3, 2, 2
+    rng = np.random.default_rng((n, k, s, round(10 * c), 2))
+    plan = reduction_plan(n, k, s, c, GAMMA)
+    ctx = find_normal_basis(2, plan.kappa)
+    layout = _kp_layout(n, k, s)
+    n_bits = plan.mod_2_bits
+    n_col = (plan.kappa * n_bits) ** plan.d
+    assert 12 * plan.d * n_col == (336 if c == 0.3 else 48)  # rows per curve
+    m = max(1, ROWS // n_col)
+    points = rng.integers(0, ctx.order, (m, layout.index.size))
+
+    def push(base_eval):
+        ext_to_base_reduce(points, layout.index, ctx, c, GAMMA, base_eval, rng,
+                           row_budget=m * n_col)
+
+    rows, within, calls = capture_queries(layout, c, True, rng, push, monkeypatch)
+    assert calls == m * n_col * plan.queries
+    # color i * B + b reads bit b of normal-basis coordinate i
+    bits = alphabet_values(rows, m, plan.kappa * n_bits, plan.d, n ** s)
+
+    if c == 0.5:
+        assert n_bits == 1
+        want = np.array([0.5])
+    else:
+        qs = (c,) * n_bits
+        want = bit_marginals(ExpansionSpec(p=2, c=min(c, 1 - c), t=n_bits - 1, qs=qs))
+        # conditioned on a uniform parity, a bit is 1 with probability
+        # c * (P[rest odd] / P[all even] + P[rest even] / P[all odd]) / 2
+        whole = parity_zero_probability(qs)
+        rest = parity_zero_probability(qs[1:])
+        closed = c * ((1 - rest) / whole + rest / (1 - whole)) / 2
+        assert np.allclose(want, closed, rtol=0, atol=1e-12)
+
+    pvalues = color_pvalues(bits, np.tile(want, plan.kappa), plan.d, n ** s)
+    pvalues.update(within_pvalues(within, c, comb(n * k, s) - plan.n_edges))
+    assert_no_outlier(pvalues)
