@@ -108,7 +108,6 @@ def _trial_inputs(args) -> list:
 
 
 def _map_trials(args, fn, n_trials):
-    _require_positive(args, "workers")
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             return list(pool.map(fn, range(n_trials)))
@@ -145,7 +144,7 @@ def _run_one_count(algo, g, k, args, rng):
     if algo == "brute":
         value = cliques.brute_force_count(g, k)
     elif algo == "greedy":
-        if args.iterations:
+        if args.iterations is not None:
             t = args.iterations
         else:
             if args.c is None:
@@ -448,6 +447,7 @@ def main(argv=None) -> int:
             sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})
     args = ap.parse_args(argv)
     try:
+        _require_positive(args, "workers")
         return COMMANDS[args.command](args)
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,15 +11,14 @@ decomposition (`recombine_expansions`, `weighted_to_unweighted_batch`)
 colors by bit positions with weights 2^b mod p (1 for p = 2); the
 extension-to-base decomposition (`ext_to_base_reduce`) colors by pairs of
 a normal-basis coordinate i and an expansion bit b, with weights
-beta^(p^i) * w_b (by the coordinates alone at c = 1/2).
+beta^(p^i) * w_b.
 
 Callback contracts: every callback is batched.  `random_self_reduce`'s
 `eval_at` takes the (12D, N) matrix of curve points over the field, one
 point per row, and returns their 12D claimed values.  `er_eval`/`base_eval`
-take an (M, N) matrix, one input per row, and return a length-M integer
-vector of polynomial values.  The rows are 0/1, except at c = 1/2 in
-`ext_to_base_reduce`, which passes the normal-basis coordinates (0/1 over
-a binary field).  Scalar usage is the M = 1 case.
+take an (M, N) matrix of 0/1 rows, one input per row, and return a
+length-M integer vector of polynomial values.  Scalar usage is the M = 1
+case.
 """
 
 from dataclasses import dataclass
@@ -221,11 +220,14 @@ def pipeline_expansion_spec(p: int, c: float, n_edges: int, gamma: float) -> Exp
     raise ValueError(f"no t <= {_MAX_T} certifies gamma={gamma} for p={p}, c={c}")
 
 
-def pipeline_mod_2_t(c: float, n_edges: int, gamma: float) -> int:
-    """Mod-2 expansion length used by the reduction: t + 1 bits of bias c
-    whose parity is within gamma/N of uniform, so each of the N entries
-    adds at most gamma/N to the TV of a query to Erdos-Renyi."""
-    return required_t_mod_2(min(c, 1.0 - c), gamma / n_edges)
+def pipeline_mod_2_bits(c: float, n_edges: int, gamma: float) -> int:
+    """Bits per entry of the reduction's mod-2 expansions: t + 1 bits of
+    bias c whose parity is within gamma/N of uniform, so each of the N
+    entries adds at most gamma/N to the TV of a query to Erdos-Renyi.  At
+    c = 1/2 a uniform entry is already an exact Ber(1/2) bit, so one bit."""
+    if c == 0.5:
+        return 1
+    return required_t_mod_2(min(c, 1.0 - c), gamma / n_edges) + 1
 
 
 def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
@@ -234,12 +236,14 @@ def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
     axis holds the N entries of a point: Ber(c) bits conditioned on their
     `bit_weights`-weighted sum being each entry, with B chosen so that the
     expansion of a uniform entry is within gamma/N of independent Ber(c)
-    bits."""
+    bits.  Over F_2 a one-bit expansion is the entry itself."""
     p = field.p
     n_edges = points.shape[-1]
     if p == 2:
-        bits = sample_expansion_mod_2_batch(points.ravel(), c,
-                                            pipeline_mod_2_t(c, n_edges, gamma),
+        n_bits = pipeline_mod_2_bits(c, n_edges, gamma)
+        if n_bits == 1:
+            return points[..., None]
+        bits = sample_expansion_mod_2_batch(points.ravel(), c, n_bits - 1,
                                             gamma / n_edges, rng)
     else:
         spec = pipeline_expansion_spec(p, c, n_edges, gamma)
@@ -293,30 +297,28 @@ def weighted_to_unweighted_batch(points: np.ndarray, index: EdgeIndex,
 # ---------------------------------------------------------------------------
 
 def ext_to_base_reduce(points: np.ndarray, index: EdgeIndex, ctx: ExtFieldCtx,
-                       c: float, gamma: float, base_eval, rng=None,
-                       row_budget: int = 1 << 14) -> np.ndarray:
+                       c: float, gamma: float, base_eval, rng=None) -> np.ndarray:
     """Evaluate the polynomial at a batch of points over F_{p^t} using a
-    callback that only evaluates base-field points.
+    callback that only evaluates 0/1 points.
 
     points: (M, N) matrix of packed elements; returns the length-M vector
     of polynomial values.  Each entry is x = sum_i x_i beta^(p^i) in the
-    normal basis.  At c != 1/2 each coordinate is expanded once into B bits
-    as in `weighted_to_unweighted_batch`, so a query still reads one bit of
-    each of N independent entries, and the colors are the pairs (i, b):
-    color i*B + b reads bit b of coordinate i, of weight beta^(p^i) * w_b.
-    At c = 1/2 the colors are the coordinates, uniform bits over GF(2^t).
+    normal basis, and each coordinate is expanded once into B bits as in
+    `weighted_to_unweighted_batch`, so a query still reads one bit of each
+    of N independent entries.  The colors are the pairs (i, b): color
+    i*B + b reads bit b of coordinate i, of weight beta^(p^i) * w_b.  Over
+    GF(2^t) at c = 1/2, B = 1 and the colors are the coordinates.
     """
     if not isinstance(ctx, ExtFieldCtx):
         raise ValueError("ext_to_base_reduce needs an extension field context")
     m, n_edges = np.shape(points)
     if n_edges != index.size:
         raise ValueError("points width does not match the edge index")
-    alpha = ctx.decompose_vec(np.ravel(points)).reshape(m, n_edges, ctx.t)
-    weights = np.array(ctx.frob_beta, dtype=np.int64)
-    if c != 0.5:
-        # (M, t, N, B): each coordinate position is a batch of points
-        bits = _sample_expansions(alpha.transpose(0, 2, 1), ctx.base, c, gamma,
-                                  as_rng(rng))
-        alpha = bits.transpose(0, 2, 1, 3).reshape(m, n_edges, -1)
-        weights = ctx.mul_vec(weights[:, None], bit_weights(ctx.char, bits.shape[3])).ravel()
-    return _coloring_sum(alpha, weights, ctx, index, base_eval, row_budget)
+    coords = ctx.decompose_vec(np.ravel(points)).reshape(m, n_edges, ctx.t)
+    # (M, t, N, B): each coordinate position is a batch of points
+    bits = _sample_expansions(coords.transpose(0, 2, 1), ctx.base, c, gamma,
+                              as_rng(rng))
+    alpha = bits.transpose(0, 2, 1, 3).reshape(m, n_edges, -1)
+    weights = ctx.mul_vec(np.array(ctx.frob_beta, dtype=np.int64)[:, None],
+                          bit_weights(ctx.char, bits.shape[3])).ravel()
+    return _coloring_sum(alpha, weights, ctx, index, base_eval)

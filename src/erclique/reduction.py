@@ -40,7 +40,7 @@ from .fields import (DecodeFailure, PrimeFieldCtx, ResidueVector, crt_combine,
 from .hypergraph import (Hypergraph, KPartiteHypergraph,
                          blow_up_k_partite, edge_index)
 from .polynomial import (WeightedKPartiteInput, ext_to_base_reduce,
-                         pipeline_expansion_spec, pipeline_mod_2_t,
+                         pipeline_expansion_spec, pipeline_mod_2_bits,
                          random_self_reduce, weighted_to_unweighted_batch)
 from .util import as_rng
 
@@ -639,12 +639,9 @@ class ReductionPlan:
 
     @property
     def mod_2_bits(self) -> int:
-        """Bits per entry of the parity pipeline's mod-2 expansions; 1 at
-        c = 1/2, where base-field inputs are already uniform and are not
-        expanded."""
-        if self.c == 0.5:
-            return 1
-        return pipeline_mod_2_t(self.c, self.n_edges, self.gamma) + 1
+        """Bits per normal-basis coordinate of the parity pipeline's mod-2
+        expansions (`pipeline_mod_2_bits`)."""
+        return pipeline_mod_2_bits(self.c, self.n_edges, self.gamma)
 
     @property
     def parity_calls(self) -> int:
@@ -682,7 +679,7 @@ def predicted_oracle_calls(n: int, k: int, s: int, c: float,
 def predicted_parity_calls(n: int, k: int, s: int, c: float,
                            params: ReductionParams = None) -> int:
     """Oracle calls to_er_parity will issue when no repetition aborts:
-    R * 12D * kappa^D * (2^k - 1), times bits2^D when c != 1/2."""
+    R * 12D * (kappa * mod_2_bits)^D * (2^k - 1)."""
     params = params or ReductionParams()
     return params.repetitions * reduction_plan(n, k, s, c, params.gamma).parity_calls
 
@@ -706,12 +703,14 @@ def _self_reduce_votes(x: WeightedKPartiteInput, eval_at, repetitions: int, rng)
 def _majority(votes):
     """(winner, margin): most common vote and its lead over the runner-up;
     (0, 0) without votes."""
+    if not votes:
+        return 0, 0
     tally = {}
     for v in votes:
         tally[v] = tally.get(v, 0) + 1
-    # zero-count padding: no votes elect 0, a lone candidate leads by its count
-    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])) + [(0, 0)] * 2
-    return ranked[0][0], ranked[0][1] - ranked[1][1]
+    ranked = sorted(tally.items(), key=lambda kv: (-kv[1], kv[0]))
+    margin = ranked[0][1] - (ranked[1][1] if len(ranked) > 1 else 0)
+    return ranked[0][0], margin
 
 
 # ---------------------------------------------------------------------------

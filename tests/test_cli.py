@@ -101,6 +101,12 @@ COUNT_ARGS = ["--n", 8, "--c", "0.4", "--s", 2, "--k", 3]
     pytest.param(["count", *COUNT_ARGS, "--workers", 0], "--workers", id="count-workers"),
     pytest.param(["reduce", *REDUCE_ARGS, "--workers", 0], "--workers",
                  id="reduce-workers"),
+    pytest.param(["verify-expansion", "--grid", "5,0.5,0.01", "--workers", 0],
+                 "--workers", id="verify-expansion-workers"),
+    pytest.param(["sample", "--n", 5, "--c", "0.5", "--s", 2, "--workers", 0],
+                 "--workers", id="sample-workers"),
+    pytest.param(["count", "--algo", "greedy", *COUNT_ARGS, "--iterations", 0],
+                 "--iterations", id="count-iterations-zero"),
 ])
 def test_invalid_config_ranges(tmp_path, capsys, argv, message):
     code = run(argv + ["--out-dir", tmp_path])

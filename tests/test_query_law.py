@@ -1,7 +1,7 @@
 """The law of what the oracle sees.
 
 Uniform random curve-like points go through a pipeline's decomposition
-into its oracle's kernel path, in one chunk here, and the 0/1 rows and
+into its oracle's kernel path, in point-major chunks, and the 0/1 rows and
 within-part bits that reach the kernel are captured.  Their frequencies
 are checked by binomial and chi-square tests against the law the plan
 certifies; the within-part bits are Ber(c) in both pipelines.
@@ -13,8 +13,8 @@ certifies; the within-part bits are Ber(c) in both pipelines.
 - Parity: points over GF(2^kappa) through the product-alphabet
   decomposition.  Bit b of the mod-2 expansion of every normal-basis
   coordinate is Ber(c'_b) (`bit_marginals` of the mod-2 spec, checked
-  against the closed form of a parity conditioning); at c = 1/2 the
-  coordinates are not expanded and each is exactly Ber(1/2).
+  against the closed form of a parity conditioning); at c = 1/2 each
+  coordinate is its own one-bit expansion, exactly Ber(1/2).
 """
 
 from math import comb
@@ -159,8 +159,12 @@ def test_parity_oracle_sees_certified_law(c, monkeypatch):
     points = rng.integers(0, ctx.order, (m, layout.index.size))
 
     def push(base_eval):
-        ext_to_base_reduce(points, layout.index, ctx, c, GAMMA, base_eval, rng,
-                           row_budget=m * n_col)
+        # slices of whole points within one 16,384-row chunk, so the rows of
+        # each call, and of all calls in turn, arrive point-major
+        step = (1 << 14) // n_col
+        for lo in range(0, m, step):
+            ext_to_base_reduce(points[lo:lo + step], layout.index, ctx, c,
+                               GAMMA, base_eval, rng)
 
     rows, within, calls = capture_queries(layout, c, True, rng, push, monkeypatch)
     assert calls == m * n_col * plan.queries
