@@ -17,8 +17,10 @@ Callback contracts: every callback is batched.  `random_self_reduce`'s
 `eval_at` takes the (12D, N) matrix of curve points over the field, one
 point per row, and returns their 12D claimed values.  `er_eval`/`base_eval`
 take an (M, N) matrix of 0/1 rows, one input per row, and return a
-length-M integer vector of polynomial values.  Scalar usage is the M = 1
-case.
+length-M integer vector of polynomial values.  The rows arrive
+coloring-major and point-minor, as the transposed view of an edge-major
+buffer (see `_coloring_sum`), so a callback must not assume C order.
+Scalar usage is the M = 1 case.
 """
 
 from dataclasses import dataclass
@@ -130,28 +132,34 @@ def _coloring_sum(alpha: np.ndarray, weights: np.ndarray, field,
     weights: (A,) field elements.  `evaluate` maps an (rows, N) batch to
     base-field values, reduced here mod the characteristic.  Colorings are
     enumerated with the first label-set as the most significant digit, in
-    chunks of at most `row_budget` rows (point-major, at least one coloring
-    per point).  Returns the length-M vector of field elements.
+    chunks of at most `row_budget` rows (at least one coloring per chunk).
+    A chunk is gathered edge-major into an (N, colorings, M) buffer, so each
+    copy is a run of M values and the kernel packs its bit-planes without a
+    copy; `evaluate` receives its transpose, rows coloring-major and
+    point-minor (row j * M + i is coloring j of point i).  Returns the
+    length-M vector of field elements.
     """
     m, n_edges, n_colors = alpha.shape
     d = comb(index.k, index.s)
     block = index.n ** index.s  # label-set r owns edges [r*block, (r+1)*block)
-    by_color = np.ascontiguousarray(alpha.transpose(0, 2, 1))  # (M, A, N)
+    by_color = np.ascontiguousarray(alpha.transpose(1, 2, 0))  # (N, A, M)
     n_col = n_colors ** d
     step = max(1, row_budget // m)
-    rows = np.empty((m, min(step, n_col), n_edges), dtype=alpha.dtype)
+    buf = np.empty(n_edges * min(step, n_col) * m, dtype=alpha.dtype)
     parts = []
     for lo in range(0, n_col, step):
         digits = np.unravel_index(np.arange(lo, min(lo + step, n_col)), (n_colors,) * d)
-        cur = rows[:, :len(digits[0])]
+        cur = buf[:n_edges * len(digits[0]) * m].reshape(n_edges, -1, m)
         w = weights[digits[0]]
         for r, a in enumerate(digits):
             edges = slice(r * block, (r + 1) * block)
-            cur[:, :, edges] = by_color[:, a, edges]
+            # digits are valid colors; mode="clip" spares the buffered copy
+            # that out= costs under the default mode="raise"
+            np.take(by_color[edges], a, axis=1, out=cur[edges], mode="clip")
             if r:
                 w = field.mul_vec(w, weights[a])
-        vals = np.asarray(evaluate(cur.reshape(-1, n_edges)), dtype=np.int64)
-        parts.append(field.sum_vec(field.mul_vec(w, vals.reshape(m, -1) % field.char)))
+        vals = np.asarray(evaluate(cur.reshape(n_edges, -1).T), dtype=np.int64)
+        parts.append(field.sum_vec(field.mul_vec(w, vals.reshape(-1, m).T % field.char)))
     return field.sum_vec(np.stack(parts, axis=-1))
 
 
@@ -242,7 +250,7 @@ def _sample_expansions(points: np.ndarray, field: PrimeFieldCtx, c: float,
     if p == 2:
         n_bits = pipeline_mod_2_bits(c, n_edges, gamma)
         if n_bits == 1:
-            return points[..., None]
+            return points[..., None].astype(np.uint8)
         bits = sample_expansion_mod_2_batch(points.ravel(), c, n_bits - 1,
                                             gamma / n_edges, rng)
     else:

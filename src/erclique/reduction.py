@@ -16,13 +16,16 @@ both pipelines.  Oracle calls are issued in coloring batches so that
 desk-scale parameter grids are tractable; batch and single-call semantics
 agree.
 
-Oracle queries are answered by one of two routes, chosen by the oracle's
-counter.  The default counters (`cliques.brute_force_count` and
-`cliques.parity_count`) go through one bit-plane clique kernel for every
-(s, k): a batch of augmented rows is packed into one bit-plane per s-set
-slot, every k-set's C(k, s) planes are ANDed, and the results are summed
-(or XORed) per part subset.  Any other counter is a blackbox and receives
-one Hypergraph per query.
+The rows of one oracle batch share one within-part sample of density c
+(`_kp_counts_batch`).  Oracle queries are answered by one of two routes,
+chosen by the oracle's counter.  The default counters
+(`cliques.brute_force_count` and `cliques.parity_count`) go through one
+bit-plane clique kernel for every (s, k): a batch of rows is packed into
+one bit-plane per label-respecting edge, the k-sets with an absent
+within-part s-set are dropped, the C(k, s) planes of every other k-set are
+ANDed (a within-part s-set reads an all-ones plane), and the results are
+summed (or XORed) per part subset.  Any other counter is a blackbox and
+receives one Hypergraph per query.
 """
 
 import threading
@@ -217,33 +220,12 @@ def _clique_planes(planes: np.ndarray, table: np.ndarray, starts: np.ndarray,
     return out
 
 
-def _bernoulli_planes(rng, c: float, rows: int, m: int) -> np.ndarray:
-    """(rows, ceil(m/8)) bit-planes of independent Ber(c) bits, for c
-    rounded down to 24 binary digits (the resolution of a float32 uniform).
-
-    Reading c's binary digits from the last 1 up to the first, OR-ing in a
-    uniform plane for a 1 and AND-ing one in for a 0 maps P[bit] = p to
-    (digit + p) / 2, which ends at P[bit] = c; c = 1/2 takes one plane."""
-    q = int(c * (1 << 24))
-    words = -(-m // 64)
-    out = np.zeros((rows, words), dtype=np.uint64)
-    full = np.iinfo(np.uint64).max
-    last_one = (q & -q).bit_length() - 1 if q else 24
-    for pos in range(last_one, 24):
-        plane = rng.integers(0, full, (rows, words), dtype=np.uint64,
-                             endpoint=True)
-        if q >> pos & 1:
-            out |= plane
-        else:
-            out &= plane
-    return out.view(np.uint8)[:, :(m + 7) // 8]
-
-
 def _pack_rows(rows: np.ndarray) -> np.ndarray:
-    """(M, S) 0/1 rows as (S, ceil(M/8)) bit-planes.  The transposed copy
-    comes first so that the planes are row-contiguous, which the kernel's
-    row gathers need to run at memory speed."""
-    return np.packbits(rows.T.copy(), axis=1)
+    """(M, S) 0/1 rows as (S, ceil(M/8)) row-contiguous bit-planes, which
+    the kernel's row gathers need to run at memory speed.  Rows given as the
+    transpose of a C-ordered (S, M) array, as the coloring sum writes them,
+    are packed without a copy; C-ordered rows are transposed first."""
+    return np.packbits(np.ascontiguousarray(rows.T), axis=1)
 
 
 def _adj_clique_counts(adj: np.ndarray, k: int, parity: bool) -> np.ndarray:
@@ -348,15 +330,24 @@ def _subset_clique_counts(bits: np.ndarray, within: np.ndarray,
     sub-hypergraph of the augmented rows, one row per subset: (2^k - 1, M).
 
     bits: (M, N) label-respecting edge indicators, packed into bit-planes
-    here; within: (W, ceil(M/8)) bit-planes of the within-part s-sets.
+    here; within: (W,) bool, the within-part s-sets present in every row.
+    A k-set with an absent within-part slot is a clique of no row, so the
+    kernel runs on the k-sets whose within-part slots are all present, and
+    those slots read one all-ones plane after the N edge planes.  Emptied
+    segments stay in place and count 0, so `members` still lines up.
     """
     table, starts, members = layout.kernel
-    planes = np.concatenate([_pack_rows(bits), within])
-    per_group = _clique_planes(planes, table, starts, len(bits), parity)
-    out = np.zeros((len(members), len(bits)), dtype=np.int64)
-    for row, inside in zip(out, members):
-        for g in np.flatnonzero(inside):
-            row += per_group[g]
+    n_edges = layout.index.size
+    present = np.concatenate([np.ones(n_edges, dtype=bool), within])
+    kept = np.flatnonzero(present[table].all(axis=1))
+    edge_planes = _pack_rows(bits)
+    planes = np.concatenate(
+        [edge_planes, np.full((1, edge_planes.shape[1]), 0xFF, dtype=np.uint8)])
+    per_group = _clique_planes(planes, np.minimum(table[kept], n_edges),
+                               np.searchsorted(kept, starts), len(bits), parity)
+    # a count is at most the table's length, far below 2^53, so the float64
+    # product, which runs in BLAS unlike an integer one, is exact
+    out = (members.astype(np.float64) @ per_group).astype(np.int64)
     return out & 1 if parity else out
 
 
@@ -366,22 +357,25 @@ def _kp_counts_batch(bits: np.ndarray, layout: _KPLayout, oracle, c: float,
     k-partite bit rows, going through the oracle on every part subset.
 
     Default counters are answered by the bit-plane kernel; any other
-    counter gets one Hypergraph per (row, subset).  Each row gets its own
-    within-part sample, drawn for the whole batch at once.
+    counter gets one Hypergraph per (row, subset).  The rows of a batch
+    share one within-part sample of density c: every query's within-part
+    s-sets are still Ber(c), and inclusion-exclusion is exact for any
+    sample.
     """
     m = bits.shape[0]
     if m > _MAX_BATCH:
         return np.concatenate(
             [_kp_counts_batch(bits[lo:lo + _MAX_BATCH], layout, oracle, c, rng,
                               parity) for lo in range(0, m, _MAX_BATCH)])
-    within = _bernoulli_planes(rng, c, layout.n_within, m)
+    within = rng.random(layout.n_within) < c
     if oracle.default_counting or oracle.default_parity:
         raw = _subset_clique_counts(bits, within, layout, oracle.default_parity)
         counts = {t: oracle.record_batch(raw[i])
                   for i, t in enumerate(layout.subsets)}
     else:
         present = np.concatenate(
-            [bits.astype(bool), np.unpackbits(within, axis=1, count=m).T], axis=1)
+            [bits.astype(bool), np.broadcast_to(within, (m, layout.n_within))],
+            axis=1)
         graphs = [Hypergraph(layout.nk, layout.s,
                              layout.slot_sets[np.nonzero(row)[0]].tolist())
                   for row in present]
@@ -427,9 +421,10 @@ class ReductionParams:
     certified is the law of each single oracle query: its label-respecting
     edges are within gamma of independent Ber(c) bits, and its within-part
     edges are exactly Ber(c), so each query is within gamma of
-    Erdos-Renyi.  The counting pipeline certifies this per prime
-    (`ReductionPlan.query_tv`); a larger gamma allows shorter expansions
-    and so fewer oracle calls."""
+    Erdos-Renyi.  The queries of one oracle batch share their within-part
+    edges; a union bound over queries needs no independence between them.
+    The counting pipeline certifies this per prime (`ReductionPlan.query_tv`);
+    a larger gamma allows shorter expansions and so fewer oracle calls."""
 
     repetitions: int = 5
     gamma: float = 0.05

@@ -2,7 +2,8 @@
 step it feeds, over random small (s, k, n, c).
 
 The reference for every kernel answer is `brute_force_count` on a
-Hypergraph built independently from the same augmented rows.
+Hypergraph built independently from the same augmented rows: each row's
+label-respecting edges plus the within-part sample its batch shares.
 
     PYTHONPATH=src python -m pytest -q tests/test_kernel_properties.py
 """
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from erclique import reduction
 from erclique.cliques import brute_force_count, brute_force_count_kpartite, parity_count
 from erclique.hypergraph import Hypergraph, sample_er_kpartite
-from erclique.reduction import (AverageCaseOracle, _bernoulli_planes, _KPLayout,
-                                _kp_counts_batch, _subset_clique_counts,
+from erclique.reduction import (AverageCaseOracle, _KPLayout, _kp_counts_batch,
+                                _subset_clique_counts,
                                 kpartite_to_general_count,
                                 kpartite_to_general_parity)
 
@@ -47,9 +48,13 @@ def flat_vertex_sets(layout):
 
 
 @SETTINGS
-@given(cell=cells(), rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
-@example(cell=(2, 4, 8, 0.5), rows=3, seed=0)  # n*k >= 32
-def test_kernel_matches_brute_force_per_subset(cell, rows, seed):
+@given(cell=cells(), rows=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+       fill=st.sampled_from([None, False, True]))
+@example(cell=(2, 4, 8, 0.5), rows=3, seed=0, fill=None)  # n*k >= 32
+@example(cell=(2, 4, 2, 0.5), rows=3, seed=1, fill=False)  # no within-part slot
+@example(cell=(2, 4, 2, 0.5), rows=3, seed=1, fill=True)   # every one present
+@example(cell=(3, 5, 2, 0.8), rows=2, seed=2, fill=True)
+def test_kernel_matches_brute_force_per_subset(cell, rows, seed, fill):
     s, k, n, c = cell
     layout = _KPLayout(n, k, s)
     edges, within_sets = flat_vertex_sets(layout)
@@ -60,13 +65,14 @@ def test_kernel_matches_brute_force_per_subset(cell, rows, seed):
 
     rng = np.random.default_rng(seed)
     bits = (rng.random((rows, layout.index.size)) < c).astype(np.uint8)
-    within = rng.random((rows, layout.n_within)) < c
-    planes = np.packbits(within.T, axis=1)
-    counts = _subset_clique_counts(bits, planes, layout, parity=False)
-    parities = _subset_clique_counts(bits, planes, layout, parity=True)
+    # one within-part sample for the whole call; `fill` pins every slot
+    within = (rng.random(layout.n_within) < c if fill is None
+              else np.full(layout.n_within, fill))
+    counts = _subset_clique_counts(bits, within, layout, parity=False)
+    parities = _subset_clique_counts(bits, within, layout, parity=True)
     assert counts.shape == parities.shape == (2 ** k - 1, rows)
     for r in range(rows):
-        present = np.concatenate([bits[r].astype(bool), within[r]])
+        present = np.concatenate([bits[r].astype(bool), within])
         g = Hypergraph(layout.nk, s, [slots[i] for i in np.nonzero(present)[0]])
         for i, t in enumerate(layout.subsets):
             want = brute_force_count(g.induced(layout.subset_vertices[t]), k)
@@ -108,7 +114,7 @@ def test_kernel_chunks_agree_with_one_pass(monkeypatch):
     layout = _KPLayout(3, 4, 3)
     rng = np.random.default_rng(5)
     bits = (rng.random((20, layout.index.size)) < 0.7).astype(np.uint8)
-    within = np.packbits(rng.random((layout.n_within, 20)) < 0.7, axis=1)
+    within = rng.random(layout.n_within) < 0.7
     whole = [_subset_clique_counts(bits, within, layout, parity)
              for parity in (False, True)]
     monkeypatch.setattr(reduction, "_KERNEL_BUDGET", 8)
@@ -117,15 +123,3 @@ def test_kernel_chunks_agree_with_one_pass(monkeypatch):
         assert got.tolist() == want.tolist()
     assert whole[0].max() > 1  # the counts are not all trivial
 
-
-def test_within_part_planes_have_density_c():
-    rng = np.random.default_rng(11)
-    assert not _bernoulli_planes(rng, 1e-9, 3, 70).any()
-    for c in (0.5, 0.4, 0.3, 0.8, 0.25):
-        planes = _bernoulli_planes(rng, c, 40, 5003)
-        assert planes.shape == (40, 626)
-        ones = np.unpackbits(planes, axis=1, count=5003)
-        sigma = (c * (1 - c) / ones.size) ** 0.5
-        assert abs(ones.mean() - c) < 5 * sigma, c
-        # rows are independent draws, not one repeated sample
-        assert len({r.tobytes() for r in ones}) == 40

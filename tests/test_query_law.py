@@ -1,10 +1,12 @@
 """The law of what the oracle sees.
 
 Uniform random curve-like points go through a pipeline's decomposition
-into its oracle's kernel path, in point-major chunks, and the 0/1 rows and
-within-part bits that reach the kernel are captured.  Their frequencies
-are checked by binomial and chi-square tests against the law the plan
-certifies; the within-part bits are Ber(c) in both pipelines.
+into its oracle's kernel path.  The 0/1 rows of every kernel call and the
+one within-part sample its rows share are captured; the decomposition's
+batches are cut into kernel calls of a few rows, so that each cell draws
+thousands of within-part samples.  Their frequencies are checked by
+binomial and chi-square tests against the law the plan certifies; the
+within-part samples are Ber(c) in both pipelines.
 
 - Counting: points mod the plan's prime through the expansion
   decomposition.  Bit b of every expansion is Ber(c'_b), enumerated here
@@ -25,7 +27,8 @@ from scipy.stats import binomtest, chi2
 
 from erclique import reduction
 from erclique.cliques import parity_count
-from erclique.expansion import ExpansionSpec, bit_marginals, parity_zero_probability
+from erclique.expansion import (ExpansionSpec, bit_marginals, bit_weights,
+                                parity_zero_probability)
 from erclique.fields import PrimeFieldCtx, find_normal_basis
 from erclique.polynomial import (ext_to_base_reduce, pipeline_expansion_spec,
                                  weighted_to_unweighted_batch)
@@ -35,49 +38,54 @@ from test_expansion import enumerate_marginals
 
 GAMMA = 0.2
 ROWS = 60_000  # rows per cell reaching the kernel
+PIECE = 16     # rows per kernel call, so a cell makes over 3,700 calls
 ALPHA = 1e-3   # family-wise significance per cell, split over its tests
 
 
 def capture_queries(layout, c, parity, rng, push, monkeypatch):
     """Run push(evaluate), where `evaluate` is the pipeline's oracle
-    callback (`_kp_counts_batch` through an exact oracle), and return the
-    (rows, N) 0/1 rows and (W, rows) within-part bits that reached the
-    kernel, and the oracle's calls."""
+    callback (`_kp_counts_batch` through an exact oracle, PIECE rows per
+    call), and return the (rows, N) 0/1 rows that reached the kernel, the
+    (calls, W) within-part samples, one per kernel call, and the oracle's
+    calls."""
     seen_bits, seen_within = [], []
     kernel = reduction._subset_clique_counts
 
     def spy(bits, within, layout, parity):
+        assert within.shape == (layout.n_within,)
         seen_bits.append(bits.copy())
-        seen_within.append(np.unpackbits(within, axis=1, count=len(bits)))
+        seen_within.append(within.copy())
         return kernel(bits, within, layout, parity)
 
     monkeypatch.setattr(reduction, "_subset_clique_counts", spy)
     oracle = AverageCaseOracle(counter=parity_count if parity else None)
 
     def evaluate(rows):
-        return _kp_counts_batch(rows.astype(np.uint8, copy=False), layout,
-                                oracle, c, rng, parity=parity)
+        return np.concatenate([
+            _kp_counts_batch(rows[lo:lo + PIECE], layout, oracle, c, rng,
+                             parity=parity)
+            for lo in range(0, len(rows), PIECE)])
 
     push(evaluate)
-    return (np.concatenate(seen_bits), np.concatenate(seen_within, axis=1),
-            oracle.calls)
+    return np.concatenate(seen_bits), np.stack(seen_within), oracle.calls
 
 
 def alphabet_values(rows, m, n_colors, d, block):
     """(M, N, A) value of every entry of M points at each of the A colors,
-    read off rows that arrive point-major with all A^D colorings in
-    `_coloring_sum` order; also checks that every row is its coloring."""
+    read off rows that arrive coloring-major, point-minor, with all A^D
+    colorings in `_coloring_sum` order; also checks that every row is its
+    coloring."""
     n_col = n_colors ** d
-    rows = rows.reshape(m, n_col, -1)
+    rows = rows.reshape(n_col, m, -1)
     digits = np.unravel_index(np.arange(n_col), (n_colors,) * d)
     # the all-a coloring reads color a of every entry
     diagonal = np.ravel_multi_index((np.arange(n_colors),) * d, (n_colors,) * d)
-    values = rows[:, diagonal, :].transpose(0, 2, 1)
+    values = rows[diagonal].transpose(1, 2, 0)
     # every row reads, in label-set r, the color its coloring gives r
     for r, a in enumerate(digits):
         edges = slice(r * block, (r + 1) * block)
         assert (rows[:, :, edges]
-                == values[:, edges, :][:, :, a].transpose(0, 2, 1)).all()
+                == values[:, edges, :][:, :, a].transpose(2, 0, 1)).all()
     return values
 
 
@@ -95,14 +103,15 @@ def color_pvalues(values, want, d, block):
 
 
 def within_pvalues(within, c, n_within):
-    """Within-part bits: density c overall (binomial) and in every slot
-    (chi-square)."""
-    hits = within.sum(axis=1)
-    total = within.shape[1]
-    assert len(hits) == n_within
-    stat = ((hits - total * c) ** 2 / (total * c * (1 - c))).sum()
+    """Within-part samples, one per kernel call: density c overall
+    (binomial) and in every slot (chi-square)."""
+    calls, width = within.shape
+    assert width == n_within
+    assert calls >= 2000
+    hits = within.sum(axis=0)
+    stat = ((hits - calls * c) ** 2 / (calls * c * (1 - c))).sum()
     return {"within": binomtest(int(hits.sum()), within.size, c).pvalue,
-            "within slots": chi2.sf(stat, len(hits))}
+            "within slots": chi2.sf(stat, width)}
 
 
 def assert_no_outlier(pvalues):
@@ -122,12 +131,15 @@ def test_oracle_sees_certified_law(n, k, s, c, monkeypatch):
     points = rng.integers(0, p, (m, layout.index.size))
 
     def push(er_eval):
+        # chunks split the colorings, so all rows arrive coloring-major
         weighted_to_unweighted_batch(points, layout.index, PrimeFieldCtx(p), c,
-                                     GAMMA, er_eval, rng, row_budget=m * n_col)
+                                     GAMMA, er_eval, rng)
 
     rows, within, calls = capture_queries(layout, c, False, rng, push, monkeypatch)
     assert calls == m * n_col * plan.queries
     expansions = alphabet_values(rows, m, t, plan.d, n ** s)
+    # the colors of every entry are its expansion: sum_b 2^b Y_b = x mod p
+    assert (expansions @ bit_weights(p, t) % p == points).all()
 
     want = enumerate_marginals(p, (c,) * t)
     spec = pipeline_expansion_spec(p, c, plan.n_edges, GAMMA)
@@ -159,17 +171,16 @@ def test_parity_oracle_sees_certified_law(c, monkeypatch):
     points = rng.integers(0, ctx.order, (m, layout.index.size))
 
     def push(base_eval):
-        # slices of whole points within one 16,384-row chunk, so the rows of
-        # each call, and of all calls in turn, arrive point-major
-        step = (1 << 14) // n_col
-        for lo in range(0, m, step):
-            ext_to_base_reduce(points[lo:lo + step], layout.index, ctx, c,
-                               GAMMA, base_eval, rng)
+        # chunks split the colorings, so all rows arrive coloring-major
+        ext_to_base_reduce(points, layout.index, ctx, c, GAMMA, base_eval, rng)
 
     rows, within, calls = capture_queries(layout, c, True, rng, push, monkeypatch)
     assert calls == m * n_col * plan.queries
     # color i * B + b reads bit b of normal-basis coordinate i
     bits = alphabet_values(rows, m, plan.kappa * n_bits, plan.d, n ** s)
+    # and the bits of coordinate i sum to it mod 2
+    coords = ctx.decompose_vec(points.ravel()).reshape(m, -1, plan.kappa)
+    assert (bits.reshape(*coords.shape, n_bits).sum(axis=-1) % 2 == coords).all()
 
     if c == 0.5:
         assert n_bits == 1
